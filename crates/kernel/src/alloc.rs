@@ -15,22 +15,34 @@ use crate::config::SchedMode;
 use crate::exec::Running;
 use crate::ids::AsId;
 use crate::kernel::{Event, Kernel};
-use crate::policy::{AllocView, SpaceDemand};
+use crate::policy::{AllocView, SpaceDemand, TargetsMemo};
 use crate::provenance::VictimReason;
 use crate::space::SpaceKind;
 use crate::upcall::UpcallEvent;
 use sa_sim::TraceEvent;
 
-/// Owned backing store for an [`AllocView`] (the policy borrows it).
-pub(crate) struct AllocSnapshot {
+/// The allocator's reusable buffers: the view the policy reads, the
+/// free-CPU list, and `rebalance`'s copy of the targets. Once they have
+/// grown to the machine's size, an allocator decision allocates nothing.
+#[derive(Default)]
+pub(crate) struct AllocBufs {
+    /// Per-space view rows, refreshed before every policy question.
     spaces: Vec<SpaceDemand>,
+    /// Per-CPU last owner, refreshed with `spaces`.
     last_space: Vec<Option<u32>>,
     total_cpus: u32,
     rotation: u32,
+    /// Grantable CPUs, ascending (the `pick_cpu` offer).
+    free: Vec<usize>,
+    /// [`Kernel::rebalance`]'s copy of the targets, taken out while it
+    /// moves processors. A deferred upcall can re-enter `rebalance`; the
+    /// nested call then starts from an empty buffer.
+    rebalance_targets: Vec<u32>,
 }
 
-impl AllocSnapshot {
-    pub(crate) fn view(&self) -> AllocView<'_> {
+impl AllocBufs {
+    /// The view as last refreshed.
+    fn view(&self) -> AllocView<'_> {
         AllocView {
             spaces: &self.spaces,
             total_cpus: self.total_cpus,
@@ -79,59 +91,61 @@ impl Kernel {
         }
     }
 
-    /// Snapshots the allocator-relevant state for the policy to read.
-    pub(crate) fn alloc_snapshot(&self) -> AllocSnapshot {
-        AllocSnapshot {
-            spaces: (0..self.spaces.len())
-                .map(|idx| SpaceDemand {
-                    demand: self.space_demand(AsId(idx as u32)),
-                    priority: self.spaces[idx].priority,
-                    assigned: self.spaces[idx].assigned_cpus,
-                })
-                .collect(),
-            last_space: self
-                .cpus
-                .iter()
-                .map(|c| c.last_space.map(|s| s.0))
-                .collect(),
-            total_cpus: self.cpus.len() as u32,
-            rotation: self.share_rotation,
-        }
+    /// Refreshes the allocator's view buffers from kernel state.
+    fn refresh_alloc_view(&mut self) {
+        let mut spaces = std::mem::take(&mut self.alloc.spaces);
+        spaces.clear();
+        spaces.extend((0..self.spaces.len()).map(|idx| SpaceDemand {
+            demand: self.space_demand(AsId(idx as u32)),
+            priority: self.spaces[idx].priority,
+            assigned: self.spaces[idx].assigned_cpus,
+        }));
+        self.alloc.spaces = spaces;
+        self.alloc.last_space.clear();
+        self.alloc
+            .last_space
+            .extend(self.cpus.iter().map(|c| c.last_space.map(|s| s.0)));
+        self.alloc.total_cpus = self.cpus.len() as u32;
+        self.alloc.rotation = self.share_rotation;
     }
 
-    /// Asks the configured [`crate::policy::AllocPolicy`] for the target
-    /// allocation.
-    pub(crate) fn compute_targets(&self) -> Vec<u32> {
-        self.compute_targets_inner().0
+    /// Asks the configured [`crate::policy::AllocPolicy`] (through the
+    /// memo) for the target allocation of the current state, and whether
+    /// the division left a remainder (so the rotation timer knows to keep
+    /// running).
+    pub(crate) fn alloc_targets(&mut self) -> (&[u32], bool) {
+        self.refresh_alloc_view();
+        self.targets_memo
+            .targets(&self.alloc_policy, &self.alloc.view())
     }
 
-    /// As [`Kernel::compute_targets`], also reporting whether a remainder
-    /// exists (so the rotation timer knows to keep running).
-    pub(crate) fn compute_targets_inner(&self) -> (Vec<u32>, bool) {
-        let snap = self.alloc_snapshot();
-        self.alloc_policy.targets(&snap.view())
+    /// The allocator's targets memo: how often the kernel asked for
+    /// targets, and how many of those asks it answered without the policy.
+    pub fn targets_memo(&self) -> &TargetsMemo {
+        &self.targets_memo
     }
 
     /// Which free CPU should `space` receive? The mechanism collects the
     /// grantable CPUs; the policy picks among them (§4.2 affinity hook;
     /// the default policy takes the lowest-numbered, matching the old
     /// inlined scan).
-    pub(crate) fn pick_grant_cpu(&self, space: AsId) -> Option<usize> {
-        let free: Vec<usize> = (0..self.cpus.len())
-            .filter(|&c| {
-                self.cpus[c].assigned.is_none()
-                    && matches!(self.cpus[c].running, Running::Idle)
-                    && self.cpus[c].inflight.is_none()
-                    && !self.cpus[c].realloc_pending
-            })
-            .collect();
-        if free.is_empty() {
+    pub(crate) fn pick_grant_cpu(&mut self, space: AsId) -> Option<usize> {
+        let cpus = &self.cpus;
+        self.alloc.free.clear();
+        self.alloc.free.extend((0..cpus.len()).filter(|&c| {
+            cpus[c].assigned.is_none()
+                && matches!(cpus[c].running, Running::Idle)
+                && cpus[c].inflight.is_none()
+                && !cpus[c].realloc_pending
+        }));
+        if self.alloc.free.is_empty() {
             return None;
         }
-        let snap = self.alloc_snapshot();
+        self.refresh_alloc_view();
+        let free = &self.alloc.free;
         let cpu = self
             .alloc_policy
-            .pick_cpu(&snap.view(), space.index(), &free);
+            .pick_cpu(&self.alloc.view(), space.index(), free);
         debug_assert!(free.contains(&cpu), "policy picked a non-free CPU");
         Some(cpu)
     }
@@ -142,7 +156,10 @@ impl Kernel {
             return;
         }
         self.metrics.rebalances.inc();
-        let (targets, has_remainder) = self.compute_targets_inner();
+        let mut targets = std::mem::take(&mut self.alloc.rebalance_targets);
+        let (memo, has_remainder) = self.alloc_targets();
+        targets.clear();
+        targets.extend_from_slice(memo);
         // Choke point 1: the targets() recomputation is a decision.
         self.note_targets_decision(&targets);
         if has_remainder && !self.rotation_armed {
@@ -188,6 +205,7 @@ impl Kernel {
             }
         }
         self.arm_dwell_retry(&targets);
+        self.alloc.rebalance_targets = targets;
     }
 
     /// Is `cpu` inside its minimum-dwell window (hysteresis veto)? Always
@@ -370,6 +388,19 @@ impl Kernel {
         self.set_idle(cpu);
     }
 
+    /// Records `cpu` as held by `space` from now: the owner, the dwell
+    /// start the hysteresis veto reads, the space's count, and the dwell
+    /// ledger's episode opened by `decision` (0 = none). Allocator grants
+    /// and debugger resumes both come through here.
+    pub(crate) fn assign_cpu(&mut self, cpu: usize, space: AsId, decision: u64) {
+        self.cpus[cpu].assigned = Some(space);
+        self.cpus[cpu].assigned_since = Some(self.q.now());
+        self.spaces[space.index()].assigned_cpus += 1;
+        if let Some(d) = &mut self.dwell {
+            d.assign(cpu, space.0, self.q.now(), decision);
+        }
+    }
+
     /// Assigns a free CPU to `space` and starts it working
     /// (choke point 2: the `pick_cpu()` grant decision).
     pub(crate) fn grant_cpu_to(&mut self, cpu: usize, space: AsId) {
@@ -392,12 +423,7 @@ impl Kernel {
                 space: space.0,
             },
         );
-        self.cpus[cpu].assigned = Some(space);
-        self.cpus[cpu].assigned_since = Some(self.q.now());
-        self.spaces[space.index()].assigned_cpus += 1;
-        if let Some(d) = &mut self.dwell {
-            d.assign(cpu, space.0, self.q.now(), decision);
-        }
+        self.assign_cpu(cpu, space, decision);
         self.trace.event(self.q.now(), || TraceEvent::Grant {
             cpu: cpu as u32,
             space: space.0,
@@ -406,11 +432,7 @@ impl Kernel {
         match &self.spaces[space.index()].kind {
             SpaceKind::UserOnSa => {
                 self.cpus[cpu].open_grant = self.open_grant_chain(decision, cpu, space);
-                self.deliver_upcall_on_cpu(
-                    cpu,
-                    space,
-                    vec![UpcallEvent::AddProcessor { decision }],
-                );
+                self.deliver_upcall_on_cpu(cpu, space, UpcallEvent::AddProcessor { decision });
             }
             SpaceKind::KernelDirect { .. } | SpaceKind::UserOnKt { .. } => {
                 if let Some(kt) = self.spaces[space.index()].ready.pop() {

@@ -64,8 +64,10 @@ impl Kernel {
             // other spaces.
             return false;
         };
-        self.cpus[cpu].assigned = Some(space);
-        self.spaces[space.index()].assigned_cpus += 1;
+        // A grant's bookkeeping minus the upcall, opened by no allocator
+        // decision: the dwell ledger books the stretch to the space, and
+        // the hysteresis veto sees when it began.
+        self.assign_cpu(cpu, space, 0);
         self.acts[act.index()].state = ActState::Running(cpu as u16);
         self.spaces[space.index()].sa.running.push(act);
         self.end_idle(cpu);

@@ -192,7 +192,14 @@ pub struct Kernel {
     /// it for targets and grant picks). Enum-dispatched: the built-in
     /// policies resolve statically (see [`AllocPolicySelect`]).
     pub(crate) alloc_policy: AllocPolicySelect,
-    started: bool,
+    /// The allocator's reusable view and free-list buffers.
+    pub(crate) alloc: crate::alloc::AllocBufs,
+    /// The policy's last targets and the view they answer (see
+    /// [`crate::policy::TargetsMemo`]).
+    pub(crate) targets_memo: crate::policy::TargetsMemo,
+    /// Emptied upcall batches, recycled so a notification allocates
+    /// nothing once the pool holds one batch per in-flight upcall.
+    pub(crate) upcall_batches: Vec<crate::exec::UpcallBatch>,
 }
 
 impl Kernel {
@@ -258,7 +265,9 @@ impl Kernel {
             app_spaces_done: 0,
             quiesce_dirty: false,
             alloc_policy,
-            started: false,
+            alloc: Default::default(),
+            targets_memo: Default::default(),
+            upcall_batches: Vec::new(),
         };
         kernel.init_daemons();
         kernel
@@ -274,6 +283,7 @@ impl Kernel {
     /// this to pin enum dispatch to the `Box<dyn>` path byte-for-byte).
     pub fn set_alloc_policy(&mut self, p: Box<dyn AllocPolicy>) {
         self.alloc_policy = AllocPolicySelect::Custom(p);
+        self.targets_memo.clear();
     }
 
     /// Read access to the trace.
@@ -519,24 +529,38 @@ impl Kernel {
     /// byte-identical to the serial engine (see `sa_sim::shard` and
     /// DESIGN.md §7).
     pub fn run(&mut self) -> RunOutcome {
-        if !self.started {
-            self.started = true;
-        }
+        self.run_until(self.cfg.run_limit)
+    }
+
+    /// As [`Kernel::run`], but stops before the first event after `until`
+    /// (or the configured run limit, if earlier), reporting `timed_out`.
+    /// The queue and clock are left untouched, so a later `run` or
+    /// `run_until` resumes exactly where this one stopped — which lets a
+    /// caller act on the kernel mid-run (e.g. the §4.4 debugger calls).
+    pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
+        let limit = until.min(self.cfg.run_limit);
         match self.q.lanes() {
-            None => self.run_loop(None),
+            None => self.run_loop(None, limit),
             Some(lanes) => {
                 let n_lanes = lanes.n_lanes();
                 let team_size = n_lanes.min(sa_harness::host_jobs().get());
                 let work = move |lane: usize| lanes.stage_lane(lane);
-                sa_harness::with_worker_team(team_size, &work, |team| self.run_loop(Some(team)))
+                sa_harness::with_worker_team(team_size, &work, |team| {
+                    self.run_loop(Some(team), limit)
+                })
             }
         }
     }
 
-    /// The event loop proper. `team` is `Some` only in multi-shard mode;
-    /// a staging round is dispatched whenever the queue judges one
-    /// worthwhile (enough live events, previous runs fully committed).
-    fn run_loop(&mut self, team: Option<&sa_harness::TeamHandle<'_, '_>>) -> RunOutcome {
+    /// The event loop proper, delivering events up to `limit`. `team` is
+    /// `Some` only in multi-shard mode; a staging round is dispatched
+    /// whenever the queue judges one worthwhile (enough live events,
+    /// previous runs fully committed).
+    fn run_loop(
+        &mut self,
+        team: Option<&sa_harness::TeamHandle<'_, '_>>,
+        limit: SimTime,
+    ) -> RunOutcome {
         let n_lanes = self.q.n_lanes();
         loop {
             if self.all_app_spaces_done() {
@@ -552,7 +576,7 @@ impl Kernel {
                     self.q.finish_stage();
                 }
             }
-            match self.q.pop_within(self.cfg.run_limit) {
+            match self.q.pop_within(limit) {
                 PopNext::Empty => {
                     return RunOutcome {
                         end: self.q.now(),

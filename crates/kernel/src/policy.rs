@@ -27,8 +27,15 @@
 //! criteria (lowest space index, lowest CPU index). The only sanctioned
 //! source of time-variation is [`AllocView::rotation`], which the kernel
 //! bumps once per quantum while a remainder exists.
+//!
+//! Purity is load-bearing, not advisory: the kernel memoizes `targets`
+//! ([`TargetsMemo`]) and asks the policy again only when the view
+//! differs from the last one it asked about. A policy whose answer
+//! depends on anything outside the view would silently see fewer calls
+//! than the kernel makes decisions.
 
 use sa_sim::SimDuration;
+use std::cmp::Reverse;
 use std::fmt;
 use std::str::FromStr;
 
@@ -72,6 +79,10 @@ pub trait AllocPolicy: Send {
     /// Also reports whether the division left a remainder, so the kernel
     /// knows to keep the rotation timer running.
     ///
+    /// Must be a pure function of `view`: the kernel memoizes the answer
+    /// and skips the call while the view is unchanged (see
+    /// [`TargetsMemo`]).
+    ///
     /// Every policy must satisfy the §4.1 invariants (proptested in
     /// `tests/policy_invariants.rs`): `targets[i] <= spaces[i].demand`,
     /// and `sum(targets) == min(total_cpus, sum(demands))` — no processor
@@ -97,6 +108,32 @@ pub trait AllocPolicy: Send {
     }
 }
 
+/// Reusable working storage for the built-in policies' allocation-free
+/// cores ([`AllocPolicySelect::targets_into`]). Holds no state between
+/// calls: any scratch gives the same answer as a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    /// Space indices by descending priority, ties by ascending index.
+    order: Vec<usize>,
+    /// One priority level's claimants: `(space index, demand)`.
+    group: Vec<(usize, u32)>,
+}
+
+/// Clears `out` to one zero target per space of `view`.
+fn reset_targets(out: &mut Vec<u32>, view: &AllocView<'_>) {
+    out.clear();
+    out.resize(view.spaces.len(), 0);
+}
+
+/// Fills `order` with the space indices by descending priority, ties by
+/// ascending index. The keys are unique, so the in-place unstable sort
+/// gives exactly the stable sort's order without its buffer.
+fn sort_by_priority(order: &mut Vec<usize>, view: &AllocView<'_>) {
+    order.clear();
+    order.extend(0..view.spaces.len());
+    order.sort_unstable_by_key(|&i| (Reverse(view.spaces[i].priority), i));
+}
+
 /// The paper's §4.1 policy: priorities strictly dominate, and within a
 /// priority level processors are divided evenly, with unused shares
 /// redistributed ("if some address spaces do not need all of the
@@ -106,28 +143,28 @@ pub trait AllocPolicy: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpaceShareEven;
 
-impl AllocPolicy for SpaceShareEven {
-    fn name(&self) -> &'static str {
-        "even"
-    }
-
-    fn targets(&self, view: &AllocView<'_>) -> (Vec<u32>, bool) {
-        let n = view.spaces.len();
-        let mut targets = vec![0u32; n];
+impl SpaceShareEven {
+    /// The allocation-free core of [`AllocPolicy::targets`]: writes one
+    /// target per space into `out` (reusing its capacity) and returns
+    /// the remainder flag.
+    pub(crate) fn targets_into(
+        &self,
+        view: &AllocView<'_>,
+        scratch: &mut PolicyScratch,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        reset_targets(out, view);
         let mut has_remainder = false;
         let mut avail = view.total_cpus;
-        // Group space indices by priority, descending.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            view.spaces[b]
-                .priority
-                .cmp(&view.spaces[a].priority)
-                .then(a.cmp(&b))
-        });
+        let PolicyScratch { order, group } = scratch;
+        sort_by_priority(order, view);
         let mut i = 0;
         while i < order.len() && avail > 0 {
             let prio = view.spaces[order[i]].priority;
-            let mut group: Vec<(usize, u32)> = Vec::new();
+            // One priority level's claimants, in ascending index order (a
+            // run of `order`, whose ties break by index): the rotation
+            // below counts positions in that order.
+            group.clear();
             while i < order.len() && view.spaces[order[i]].priority == prio {
                 let idx = order[i];
                 let d = view.spaces[idx].demand;
@@ -139,49 +176,60 @@ impl AllocPolicy for SpaceShareEven {
             // Waterfall even split within the priority level.
             while !group.is_empty() && avail > 0 {
                 let share = avail / group.len() as u32;
+                let len = group.len();
+                let start = (view.rotation as usize) % len;
                 if share == 0 {
                     // Fewer processors than claimants: one each to a
                     // rotating window of claimants (time-slicing the
                     // remainder, deterministically).
-                    group.sort_by_key(|&(idx, _)| idx);
                     has_remainder = true;
-                    let len = group.len();
-                    let start = (view.rotation as usize) % len;
                     for k in 0..(avail as usize) {
                         let (idx, _) = group[(start + k) % len];
-                        targets[idx] += 1;
+                        out[idx] += 1;
                     }
                     avail = 0;
                     break;
                 }
-                let satisfied: Vec<(usize, u32)> =
-                    group.iter().copied().filter(|&(_, d)| d <= share).collect();
-                if satisfied.is_empty() {
-                    // Everyone wants at least the share: split evenly and
+                if group.iter().all(|&(_, d)| d > share) {
+                    // Everyone wants more than the share: split evenly and
                     // hand the remainder out one-by-one, rotating who gets
                     // the extras.
-                    group.sort_by_key(|&(idx, _)| idx);
-                    let rem = (avail - share * group.len() as u32) as usize;
+                    let rem = (avail - share * len as u32) as usize;
                     if rem > 0 {
                         has_remainder = true;
                     }
-                    let len = group.len();
-                    let start = (view.rotation as usize) % len;
                     for (k, &(idx, _)) in group.iter().enumerate() {
                         let gets_extra = (k + len - start) % len < rem;
-                        targets[idx] += share + u32::from(gets_extra);
+                        out[idx] += share + u32::from(gets_extra);
                     }
                     avail = 0;
                     break;
                 }
-                for &(idx, d) in &satisfied {
-                    targets[idx] += d;
-                    avail -= d;
-                }
-                group.retain(|&(idx, _)| !satisfied.iter().any(|&(s, _)| s == idx));
+                // Satisfy everyone asking no more than the share; the
+                // rest split what is left in the next round.
+                group.retain(|&(idx, d)| {
+                    let satisfied = d <= share;
+                    if satisfied {
+                        out[idx] += d;
+                        avail -= d;
+                    }
+                    !satisfied
+                });
             }
         }
-        (targets, has_remainder)
+        has_remainder
+    }
+}
+
+impl AllocPolicy for SpaceShareEven {
+    fn name(&self) -> &'static str {
+        "even"
+    }
+
+    fn targets(&self, view: &AllocView<'_>) -> (Vec<u32>, bool) {
+        let mut out = Vec::new();
+        let rem = self.targets_into(view, &mut PolicyScratch::default(), &mut out);
+        (out, rem)
     }
 }
 
@@ -219,31 +267,39 @@ impl AllocPolicy for Affinity {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StrictPriority;
 
+impl StrictPriority {
+    /// The allocation-free core of [`AllocPolicy::targets`], as for
+    /// [`SpaceShareEven`]; never reports a remainder.
+    pub(crate) fn targets_into(
+        &self,
+        view: &AllocView<'_>,
+        scratch: &mut PolicyScratch,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        reset_targets(out, view);
+        let mut avail = view.total_cpus;
+        sort_by_priority(&mut scratch.order, view);
+        for &idx in &scratch.order {
+            if avail == 0 {
+                break;
+            }
+            let take = view.spaces[idx].demand.min(avail);
+            out[idx] = take;
+            avail -= take;
+        }
+        false
+    }
+}
+
 impl AllocPolicy for StrictPriority {
     fn name(&self) -> &'static str {
         "strict-priority"
     }
 
     fn targets(&self, view: &AllocView<'_>) -> (Vec<u32>, bool) {
-        let n = view.spaces.len();
-        let mut targets = vec![0u32; n];
-        let mut avail = view.total_cpus;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            view.spaces[b]
-                .priority
-                .cmp(&view.spaces[a].priority)
-                .then(a.cmp(&b))
-        });
-        for idx in order {
-            if avail == 0 {
-                break;
-            }
-            let take = view.spaces[idx].demand.min(avail);
-            targets[idx] = take;
-            avail -= take;
-        }
-        (targets, false)
+        let mut out = Vec::new();
+        let rem = self.targets_into(view, &mut PolicyScratch::default(), &mut out);
+        (out, rem)
     }
 }
 
@@ -406,14 +462,28 @@ impl AllocPolicySelect {
         }
     }
 
-    /// See [`AllocPolicy::targets`].
-    pub fn targets(&self, view: &AllocView<'_>) -> (Vec<u32>, bool) {
+    /// [`AllocPolicy::targets`] written into `out` (reusing its
+    /// capacity); returns the remainder flag. The built-in policies run
+    /// their allocation-free cores on `scratch`; [`Custom`] calls its
+    /// trait object and moves the answer in.
+    ///
+    /// [`Custom`]: AllocPolicySelect::Custom
+    pub fn targets_into(
+        &self,
+        view: &AllocView<'_>,
+        scratch: &mut PolicyScratch,
+        out: &mut Vec<u32>,
+    ) -> bool {
         match self {
-            AllocPolicySelect::Even(p) => p.targets(view),
-            AllocPolicySelect::Affinity(p) => p.targets(view),
-            AllocPolicySelect::StrictPriority(p) => p.targets(view),
-            AllocPolicySelect::Hysteresis(p) => p.targets(view),
-            AllocPolicySelect::Custom(p) => p.targets(view),
+            AllocPolicySelect::Even(_)
+            | AllocPolicySelect::Affinity(_)
+            | AllocPolicySelect::Hysteresis(_) => SpaceShareEven.targets_into(view, scratch, out),
+            AllocPolicySelect::StrictPriority(p) => p.targets_into(view, scratch, out),
+            AllocPolicySelect::Custom(p) => {
+                let (targets, rem) = p.targets(view);
+                *out = targets;
+                rem
+            }
         }
     }
 
@@ -437,6 +507,77 @@ impl AllocPolicySelect {
             AllocPolicySelect::Hysteresis(p) => p.min_dwell(),
             AllocPolicySelect::Custom(p) => p.min_dwell(),
         }
+    }
+}
+
+/// The kernel's memo of [`AllocPolicy::targets`]: the last view it was
+/// asked about and the policy's answer for it (targets plus the
+/// remainder flag). The key is the whole [`AllocView`] — per-space
+/// demand, priority and assignment, `last_space`, `rotation` and
+/// `total_cpus` — so a hit returns exactly what the policy would, for
+/// every policy that obeys the purity rule (the module docs), including
+/// [`AllocPolicySelect::Custom`] ones.
+///
+/// Every buffer is reused: once they have grown to the machine's size, a
+/// decision allocates nothing, hit or miss (built-in policies).
+#[derive(Debug, Default)]
+pub struct TargetsMemo {
+    /// The memoized view; meaningful only while `valid`.
+    spaces: Vec<SpaceDemand>,
+    last_space: Vec<Option<u32>>,
+    total_cpus: u32,
+    rotation: u32,
+    valid: bool,
+    /// The policy's answer for that view.
+    targets: Vec<u32>,
+    has_remainder: bool,
+    scratch: PolicyScratch,
+    calls: u64,
+    hits: u64,
+}
+
+impl TargetsMemo {
+    /// `policy`'s targets for `view`: the memoized answer when `view`
+    /// equals the last view asked about, otherwise a fresh one (which
+    /// then becomes the memo).
+    pub fn targets(&mut self, policy: &AllocPolicySelect, view: &AllocView<'_>) -> (&[u32], bool) {
+        self.calls += 1;
+        if self.valid && self.holds(view) {
+            self.hits += 1;
+        } else {
+            self.has_remainder = policy.targets_into(view, &mut self.scratch, &mut self.targets);
+            self.spaces.clear();
+            self.spaces.extend_from_slice(view.spaces);
+            self.last_space.clear();
+            self.last_space.extend_from_slice(view.last_space);
+            self.total_cpus = view.total_cpus;
+            self.rotation = view.rotation;
+            self.valid = true;
+        }
+        (&self.targets, self.has_remainder)
+    }
+
+    /// Is `view` the memoized view?
+    fn holds(&self, view: &AllocView<'_>) -> bool {
+        self.total_cpus == view.total_cpus
+            && self.rotation == view.rotation
+            && self.spaces == view.spaces
+            && self.last_space == view.last_space
+    }
+
+    /// Forgets the memoized answer (the policy was replaced).
+    pub fn clear(&mut self) {
+        self.valid = false;
+    }
+
+    /// Calls to [`TargetsMemo::targets`] so far.
+    pub fn calls(&self) -> u64 {
+        self.calls
+    }
+
+    /// Calls answered from the memo, without asking the policy.
+    pub fn hits(&self) -> u64 {
+        self.hits
     }
 }
 

@@ -2,7 +2,7 @@
 //! blocking, unblocking, and recycling (§3.1, §4.3).
 
 use crate::activation::ActState;
-use crate::exec::{Effect, Micro, ResumeWith, Running, Seg, UnitRef, UpcallBatch};
+use crate::exec::{Effect, Micro, ResumeWith, Running, Seg, UnitRef};
 use crate::ids::{ActId, AsId, VpId};
 use crate::kernel::{Event, Kernel};
 use crate::provenance::VictimReason;
@@ -41,7 +41,7 @@ impl Kernel {
     /// Hands the queued event batch to the user-level thread system.
     fn eff_deliver_upcall(&mut self, cpu: usize, a: ActId) {
         let space = self.acts[a.index()].space;
-        let batch = self.acts[a.index()]
+        let mut batch = self.acts[a.index()]
             .upcall
             .take()
             .expect("DeliverUpcall without a queued batch");
@@ -83,6 +83,10 @@ impl Kernel {
         rt.deliver_upcall(&mut env, VpId(a.0), &batch.events);
         let kicks = std::mem::take(&mut env.kicks);
         self.spaces[space.index()].runtime = Some(rt);
+        // Emptied, the batch's buffers carry the next notification.
+        batch.events.clear();
+        batch.queued_at.clear();
+        self.upcall_batches.push(batch);
         self.quiesce_dirty = true;
         for k in kicks {
             self.process_kick(space, k);
@@ -227,17 +231,17 @@ impl Kernel {
                 // whose `Preempted`/`Unblocked` event is still in flight
                 // stays discarded, so its id cannot be re-dispatched while
                 // an earlier notification about it is unprocessed.
-                let discarded = std::mem::take(&mut self.spaces[space.index()].sa.discarded);
-                let mut kept = Vec::new();
-                for husk in discarded {
-                    if self.acts[husk.index()].release_seq <= upto {
-                        self.spaces[space.index()].sa.cached.push(husk);
-                        self.acts[husk.index()].state = ActState::Cached;
-                    } else {
-                        kept.push(husk);
+                // In place, in husk order (activation ids reach traces).
+                let sa = &mut self.spaces[space.index()].sa;
+                let acts = &mut self.acts;
+                sa.discarded.retain(|&husk| {
+                    let recycle = acts[husk.index()].release_seq <= upto;
+                    if recycle {
+                        sa.cached.push(husk);
+                        acts[husk.index()].state = ActState::Cached;
                     }
-                }
-                self.spaces[space.index()].sa.discarded = kept;
+                    !recycle
+                });
                 let p = &mut self.acts[a.index()].pipeline;
                 p.push_back(Micro::Seg(Seg::kernel(c.act_recycle_call)));
                 p.push_back(Micro::Seg(ret));
@@ -258,7 +262,7 @@ impl Kernel {
                     let tcpu = tcpu as usize;
                     if self.act_victim_eligible(tcpu) {
                         let ev = self.stop_activation_on(tcpu, VictimReason::PreemptVp);
-                        self.deliver_upcall_on_cpu(tcpu, space, vec![ev]);
+                        self.deliver_upcall_on_cpu(tcpu, space, ev);
                     }
                 }
             }
@@ -290,11 +294,7 @@ impl Kernel {
         // "The kernel uses a fresh scheduler activation to notify the
         // user-level thread system of the event, thus allowing the
         // processor to be used to run other user-level threads." (§3.1)
-        self.deliver_upcall_on_cpu(
-            cpu,
-            space,
-            vec![UpcallEvent::Blocked { vp: VpId(a.0), seq }],
-        );
+        self.deliver_upcall_on_cpu(cpu, space, UpcallEvent::Blocked { vp: VpId(a.0), seq });
     }
 
     /// An activation voluntarily returns its processor (runtime finished).
@@ -352,19 +352,18 @@ impl Kernel {
             saved: SavedContext::empty(),
             outcome,
         };
-        self.notify_space(space, vec![ev]);
+        self.notify_space(space, ev);
     }
 
-    /// Queues `events` for `space` and tries to deliver them now.
-    pub(crate) fn notify_space(&mut self, space: AsId, events: Vec<UpcallEvent>) {
+    /// Queues `ev` for `space` and tries to deliver it now.
+    pub(crate) fn notify_space(&mut self, space: AsId, ev: UpcallEvent) {
         if self.spaces[space.index()].done {
             return;
         }
         let now = self.q.now();
         let sa = &mut self.spaces[space.index()].sa;
-        sa.pending_since
-            .resize(sa.pending_events.len() + events.len(), now);
-        sa.pending_events.extend(events);
+        sa.pending_events.push(ev);
+        sa.pending_since.push(now);
         self.try_deliver_pending(space);
     }
 
@@ -382,10 +381,8 @@ impl Kernel {
         //    space another processor anyway. (Otherwise a reclaimed CPU
         //    would bounce straight back, and the allocator could never
         //    shrink the space's allocation.)
-        let deserves_more = {
-            let targets = self.compute_targets();
-            self.spaces[space.index()].assigned_cpus < targets[space.index()]
-        };
+        let target = self.alloc_targets().0[space.index()];
+        let deserves_more = self.spaces[space.index()].assigned_cpus < target;
         if deserves_more {
             if let Some(cpu) = self.pick_grant_cpu(space) {
                 self.grant_cpu_to(cpu, space);
@@ -397,7 +394,7 @@ impl Kernel {
         //    `deliver_upcall_on_cpu` prepends the pending batch itself).
         if let Some(victim_cpu) = self.pick_own_victim(space) {
             let ev = self.stop_activation_on(victim_cpu, VictimReason::Notify);
-            self.deliver_upcall_on_cpu(victim_cpu, space, vec![ev]);
+            self.deliver_upcall_on_cpu(victim_cpu, space, ev);
             return;
         }
         // 3. The space has no processors: the kernel must take one from
@@ -567,20 +564,17 @@ impl Kernel {
         }
     }
 
-    /// Creates (or reuses) an activation and dispatches the upcall on `cpu`.
+    /// Creates (or reuses) an activation and dispatches the upcall carrying
+    /// `ev` on `cpu`.
     ///
     /// Any events pended for the space are prepended to the batch; if the
     /// thread manager's page is non-resident the delivery is deferred until
     /// the fault completes (§3.1).
-    pub(crate) fn deliver_upcall_on_cpu(
-        &mut self,
-        cpu: usize,
-        space: AsId,
-        events: Vec<UpcallEvent>,
-    ) {
+    pub(crate) fn deliver_upcall_on_cpu(&mut self, cpu: usize, space: AsId, ev: UpcallEvent) {
         debug_assert!(matches!(self.cpus[cpu].running, Running::Idle));
         debug_assert!(self.cpus[cpu].inflight.is_none());
         debug_assert_eq!(self.cpus[cpu].assigned, Some(space));
+        let now = self.q.now();
         // Upcall-page-fault rule: the upcall may fault on the thread
         // manager's own pages; the kernel must detect this and delay the
         // upcall until the page is in.
@@ -588,14 +582,11 @@ impl Kernel {
             let resident = self.spaces[space.index()].residency.touch(RUNTIME_PAGE)
                 && self.spaces[space.index()].runtime_pages_resident;
             if !resident {
-                let now = self.q.now();
-                let sa = &mut self.spaces[space.index()].sa;
-                let mut all = std::mem::take(&mut sa.pending_events);
-                all.extend(events);
-                sa.pending_events = all;
-                // Incoming events were raised now; pended ones keep their
+                // The event was raised now; pended ones keep their
                 // original stamps (the deferral *is* delivery latency).
-                sa.pending_since.resize(sa.pending_events.len(), now);
+                let sa = &mut self.spaces[space.index()].sa;
+                sa.pending_events.push(ev);
+                sa.pending_since.push(now);
                 sa.deferred_upcalls += 1;
                 if self.spaces[space.index()].runtime_pages_resident {
                     // First detection: start the fault.
@@ -609,18 +600,22 @@ impl Kernel {
                 return;
             }
         }
-        let mut all = std::mem::take(&mut self.spaces[space.index()].sa.pending_events);
-        let mut queued_at = std::mem::take(&mut self.spaces[space.index()].sa.pending_since);
-        queued_at.resize(all.len() + events.len(), self.q.now());
-        all.extend(events);
-        debug_assert!(!all.is_empty(), "empty upcall batch");
-        debug_assert_eq!(all.len(), queued_at.len());
+        // The batch: everything pended, then `ev`, moved into a recycled
+        // buffer (`append` leaves the pending lists empty but keeps their
+        // capacity).
+        let mut batch = self.upcall_batches.pop().unwrap_or_default();
+        let sa = &mut self.spaces[space.index()].sa;
+        debug_assert_eq!(sa.pending_events.len(), sa.pending_since.len());
+        batch.events.append(&mut sa.pending_events);
+        batch.events.push(ev);
+        batch.queued_at.append(&mut sa.pending_since);
+        batch.queued_at.push(now);
         self.mailbox.post(
             &self.plan,
             crate::mailbox::CrossShardMsg::UpcallBatch {
                 cpu: cpu as u32,
                 space: space.0,
-                events: all.len() as u32,
+                events: batch.events.len() as u32,
             },
         );
         // Allocate the vessel: cached husks are cheap (§4.3).
@@ -637,10 +632,7 @@ impl Kernel {
         self.acts[a.index()].reset_for_dispatch();
         self.acts[a.index()].state = ActState::Running(cpu as u16);
         self.acts[a.index()].in_upcall = true;
-        self.acts[a.index()].upcall = Some(UpcallBatch {
-            events: all,
-            queued_at,
-        });
+        self.acts[a.index()].upcall = Some(batch);
         self.spaces[space.index()].sa.running.push(a);
         self.end_idle(cpu);
         self.cpus[cpu].running = Running::Act(a);

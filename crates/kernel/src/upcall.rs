@@ -450,8 +450,9 @@ pub trait UserRuntime {
 /// Resident TCB-slab footprint reported by [`UserRuntime::tcb_slab_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbSlabStats {
-    /// Rows ever allocated — the high-water mark of concurrently live
-    /// threads (exited rows are recycled, never freed back).
+    /// Rows ever allocated — the high-water mark of live plus
+    /// exited-but-unjoined threads (joined rows are recycled, never freed
+    /// back).
     pub rows: usize,
     /// Bytes resident in the hot (dispatch-path) half of the slab.
     pub hot_bytes: usize,

@@ -521,14 +521,11 @@ fn probe_space_with(k: &mut Kernel, rt: ProbeRuntime) -> AsId {
 fn debugger_stops_without_upcalls() {
     // §4.4: a debug-stopped activation moves to a logical processor; no
     // upcalls result from stopping or resuming it.
+    // This covers the API after the run; `debugger_stop_and_resume_mid_run`
+    // intervenes mid-run.
     let mut k = kernel(2);
     let log = LogHandle::new();
     probe_space(&mut k, &log, vec![Act::Run(1_000), Act::Run(1_000)]);
-    // Boot the space: run until the first activation is dispatched.
-    // (Run a few events by using a time-limited sub-run.)
-    // Simplest: run fully once to learn the activation id, then do a
-    // fresh kernel and intervene mid-run is not possible from outside the
-    // loop; instead exercise stop/resume after completion on a live act:
     let out = k.run();
     assert!(!out.timed_out && !out.deadlocked);
     // All upcalls were AddProcessor only (no Preempted/Blocked at all).
@@ -541,6 +538,95 @@ fn debugger_stops_without_upcalls() {
     assert!(!k.debug_stop(ActId(0)));
     assert!(!k.debug_resume(ActId(0)));
     assert!(!k.is_debug_stopped(ActId(0)));
+}
+
+/// The processors the dwell ledger shows `space` holding right now: CPUs
+/// whose latest episode (sealed at the current time) belongs to it.
+fn dwell_held(k: &Kernel, space: AsId) -> usize {
+    let dwell = k.dwell_ledger().expect("dwell ledger enabled");
+    (0..dwell.num_cpus() as u32)
+        .filter(|&cpu| {
+            let latest = dwell.episodes().iter().rev().find(|e| e.cpu == cpu);
+            latest.is_some_and(|e| e.space == Some(space.0))
+        })
+        .count()
+}
+
+#[test]
+fn debugger_stop_and_resume_mid_run() {
+    // §4.4 in the middle of a run: stop a running activation, let the run
+    // go on without it, resume it on a free processor, finish the run.
+    // Firefly costs: an upcall takes 1.17 ms to reach user level, so the
+    // first activation runs its first 1 ms segment over [1.17, 2.17) ms.
+    let mut k = kernel(2);
+    k.enable_dwell_ledger();
+    let log = LogHandle::new();
+    let space = probe_space(&mut k, &log, vec![Act::Run(1_000); 4]);
+    let polls_of = |vp: VpId| -> Vec<String> {
+        let log = log.0.borrow();
+        log.polls
+            .iter()
+            .filter(|(v, _)| *v == vp)
+            .map(|(_, r)| r.clone())
+            .collect()
+    };
+
+    // Mid-way through the first segment.
+    let out = k.run_until(SimTime::from_micros(1_500));
+    assert!(out.timed_out, "{out:?}");
+    let [act] = k.running_activations(space)[..] else {
+        panic!("one activation should be running");
+    };
+    let vp = VpId(act.0);
+    assert_eq!(polls_of(vp), ["Fresh"]);
+
+    // Stop it. Its processor returns to the allocator, which re-grants one
+    // to the space (it still wants a processor) on a fresh activation.
+    assert!(k.debug_stop(act));
+    assert!(k.is_debug_stopped(act));
+    k.run_until(SimTime::from_micros(2_000));
+    let running = k.running_activations(space);
+    assert_eq!(running.len(), 1, "{running:?}");
+    assert!(!running.contains(&act));
+    assert_eq!(dwell_held(&k, space), running.len(), "§3.1 while stopped");
+
+    // Resume it on the free processor: it finishes the interrupted
+    // segment and polls for more work, with no upcall in between.
+    assert!(k.debug_resume(act));
+    let resumed_at = k.now();
+    k.run_until(SimTime::from_micros(2_800));
+    assert_eq!(polls_of(vp), ["Fresh", "SegDone"]);
+    let running = k.running_activations(space);
+    assert_eq!(running.len(), 2, "{running:?}");
+    assert!(running.contains(&act));
+    assert_eq!(dwell_held(&k, space), running.len(), "§3.1 after resume");
+
+    let out = k.run();
+    assert!(!out.timed_out && !out.deadlocked, "{out:?}");
+
+    // 1. No upcalls from stopping or resuming: the space saw only the
+    //    allocator's two grants (at boot and after the stop).
+    let upcalls = log.upcalls();
+    assert_eq!(upcalls.len(), 2, "{upcalls:?}");
+    for batch in &upcalls {
+        assert!(
+            matches!(batch[..], [UpcallEvent::AddProcessor { decision }] if decision != 0),
+            "{batch:?}"
+        );
+    }
+    // 2. §3.1 is also asserted after every event in debug builds.
+    // 3. The resumed stretch belongs to the space, opened by no allocator
+    //    decision, and the episodes still partition the run exactly.
+    let dwell = k.dwell_ledger().expect("dwell ledger enabled");
+    dwell.verify(out.end).expect("dwell conservation");
+    let resumed: Vec<_> = dwell
+        .episodes()
+        .iter()
+        .filter(|e| e.start == resumed_at && e.opened_by == 0 && e.space.is_some())
+        .collect();
+    assert_eq!(resumed.len(), 1, "{:?}", dwell.episodes());
+    assert_eq!(resumed[0].space, Some(space.0));
+    assert!(resumed[0].end > resumed_at);
 }
 
 #[test]

@@ -10,8 +10,12 @@
 //! 4. Purity: the same view yields the same answer, twice — policies may
 //!    not smuggle in host state (the determinism rule the module docs
 //!    impose on policy authors).
+//! 5. The kernel's allocation-free path — each built-in policy's core on
+//!    reused buffers, and the memo that skips repeated views — answers
+//!    exactly what a fresh `AllocPolicy::targets` does.
 
 use proptest::prelude::*;
+use sa_kernel::policy::{AllocPolicySelect, PolicyScratch, TargetsMemo};
 use sa_kernel::{AllocPolicyKind, AllocView, SpaceDemand};
 
 /// A random space: small demands so contention, saturation, and zero
@@ -114,6 +118,67 @@ proptest! {
                 "{}: rotation changed the allocated total: {:?}",
                 kind, sums
             );
+        }
+    }
+
+    /// The kernel asks a policy for targets through a one-entry memo (the
+    /// last view and its answer) and the built-in policies' cores write
+    /// into reused buffers. Over random view sequences — repeated views,
+    /// rotation bumps, and single-field edits to demand, assignment and
+    /// last owner — both must equal a fresh `AllocPolicy::targets` for
+    /// every built-in policy, through the enum and through `Custom`, and
+    /// the memo must answer exactly the calls whose view repeats the
+    /// previous call's.
+    #[test]
+    fn memo_and_core_equal_fresh_targets(
+        start in prop::collection::vec(space(), 1..10),
+        cpus in 0u32..33,
+        steps in prop::collection::vec((0u8..8, 0usize..33, 0u32..12), 1..40),
+    ) {
+        for kind in AllocPolicyKind::ALL {
+            let fresh = kind.build();
+            for select in [kind.build_select(), AllocPolicySelect::Custom(kind.build())] {
+                let mut spaces = start.clone();
+                let mut last_space: Vec<Option<u32>> = vec![None; cpus as usize];
+                let mut rotation = 0u32;
+                let mut memo = TargetsMemo::default();
+                let mut scratch = PolicyScratch::default();
+                let mut core = Vec::new();
+                let mut prev = None;
+                let mut repeats = 0u64;
+                for &(op, i, v) in &steps {
+                    let n = spaces.len();
+                    match op {
+                        0..=2 => {}
+                        3 | 4 => rotation += 1,
+                        5 => spaces[i % n].demand = v,
+                        6 => spaces[i % n].assigned = v % 7,
+                        _ if !last_space.is_empty() => {
+                            let cpu = i % last_space.len();
+                            last_space[cpu] = (v % 3 != 0).then_some(v % n as u32);
+                        }
+                        _ => {}
+                    }
+                    let key = (spaces.clone(), last_space.clone(), rotation);
+                    repeats += u64::from(prev.as_ref() == Some(&key));
+                    prev = Some(key);
+                    let view = AllocView {
+                        spaces: &spaces,
+                        total_cpus: cpus,
+                        rotation,
+                        last_space: &last_space,
+                    };
+                    let (want, want_rem) = fresh.targets(&view);
+                    let core_rem = select.targets_into(&view, &mut scratch, &mut core);
+                    prop_assert_eq!(&core, &want, "{}: core differs from fresh targets", kind);
+                    prop_assert_eq!(core_rem, want_rem, "{}: core remainder differs", kind);
+                    let (got, got_rem) = memo.targets(&select, &view);
+                    prop_assert_eq!(got, &want[..], "{}: memo differs from fresh targets", kind);
+                    prop_assert_eq!(got_rem, want_rem, "{}: memo remainder differs", kind);
+                }
+                prop_assert_eq!(memo.calls(), steps.len() as u64);
+                prop_assert_eq!(memo.hits(), repeats, "{}: memo hit count", kind);
+            }
         }
     }
 }

@@ -726,6 +726,35 @@ mod tests {
     }
 
     #[test]
+    fn schedule_after_a_deferred_pop_keeps_order() {
+        // A run stopped at a limit and acted on: the deferred extraction
+        // may have cascaded the wheel ahead of the clock, and events
+        // scheduled between the clock and the deferred event must still
+        // come out first, in order.
+        on_both_cores(|mut q| {
+            q.schedule(t(10), 1);
+            q.schedule(t(40_000), 2);
+            q.schedule(t(3_000_000), 3);
+            assert_eq!(q.pop_within(t(100)), PopNext::Popped(t(10), 1));
+            assert_eq!(q.pop_within(t(100)), PopNext::Deferred(t(40_000)));
+            assert_eq!(q.now(), t(10));
+            q.schedule(t(10), 4);
+            q.schedule(t(20_000), 5);
+            q.check_invariants();
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(
+                order,
+                [
+                    (t(10), 4),
+                    (t(20_000), 5),
+                    (t(40_000), 2),
+                    (t(3_000_000), 3)
+                ]
+            );
+        });
+    }
+
+    #[test]
     fn batch_equals_serial_pops_under_mixed_load() {
         // The batch API must reproduce plain pop order exactly, including
         // sub-tick time ordering inside one wheel slot.

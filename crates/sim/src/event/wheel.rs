@@ -164,6 +164,10 @@ impl<E> WheelQueue<E> {
             "scheduled event in the past: {time} < now {}",
             self.now
         );
+        let tick = time.as_nanos() >> GRAN_SHIFT;
+        if tick < self.cur_tick {
+            self.rewind(tick);
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = self.alloc(time, seq, event);
@@ -469,6 +473,40 @@ impl<E> WheelQueue<E> {
                 self.push_overflow(idx);
                 return;
             }
+        }
+    }
+
+    /// Moves the cursor back to `tick` and re-files every live entry
+    /// relative to it. Needed only when an extraction deferred past its
+    /// limit (`pop_within`, `pop_batch_within`) had cascaded the cursor
+    /// ahead of the clock and a caller then schedules between the two —
+    /// a run stopped mid-way and acted on. O(live); a run loop that only
+    /// schedules at or after its last delivery never gets here.
+    #[cold]
+    fn rewind(&mut self, tick: u64) {
+        let mut entries = Vec::with_capacity(self.live);
+        for level in 0..LEVELS {
+            for head in &mut self.heads[level] {
+                let mut idx = std::mem::replace(head, NIL);
+                while idx != NIL {
+                    entries.push(idx);
+                    idx = self.nodes[idx as usize].next;
+                }
+            }
+            self.occupied[level] = [0; WORDS];
+            self.level_len[level] = 0;
+        }
+        let mut idx = std::mem::replace(&mut self.overflow_head, NIL);
+        while idx != NIL {
+            entries.push(idx);
+            idx = self.nodes[idx as usize].next;
+        }
+        self.overflow_len = 0;
+        self.overflow_min = None;
+        self.min_slot = None;
+        self.cur_tick = tick;
+        for idx in entries {
+            self.place(idx);
         }
     }
 

@@ -208,8 +208,9 @@ impl FastThreads {
         self.tcbs.bytes_resident()
     }
 
-    /// TCB rows ever allocated — the high-water mark of concurrently
-    /// live threads, since exited TCBs are recycled through free lists.
+    /// TCB rows ever allocated — the high-water mark of live plus
+    /// exited-but-unjoined threads: a row returns to its free list only
+    /// once its thread has exited and been joined.
     pub fn tcb_rows(&self) -> usize {
         self.tcbs.len()
     }
