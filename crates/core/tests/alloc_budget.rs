@@ -18,48 +18,10 @@ use sa_core::{slo, AppSpec, SystemBuilder, ThreadApi};
 use sa_kernel::DaemonSpec;
 use sa_sim::span::SpanBook;
 use sa_workload::openloop::shard_listener;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Counts every call that hands out memory (`alloc`, `alloc_zeroed`,
-/// `realloc`), then forwards to the system allocator.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to the system allocator with the caller's
-// arguments unchanged, so the caller's guarantees carry over; the only
-// extra work is a relaxed atomic increment, which neither allocates nor
-// touches the memory being managed.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: forwarded as received (see the impl comment).
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: forwarded as received (see the impl comment).
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: forwarded as received (see the impl comment).
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received (see the impl comment).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+mod counting;
 
 const REQUESTS: usize = 3_000;
 
@@ -92,9 +54,9 @@ fn slo_cell_allocations_per_event_stay_within_budget() {
     }
     let mut sys = builder.build();
 
-    let before = ALLOCS.load(Relaxed);
+    let before = counting::allocs();
     let report = sys.run();
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let allocs = counting::allocs() - before;
 
     assert!(report.all_done(), "slo cell: {:?}", report.outcome);
     assert_eq!(

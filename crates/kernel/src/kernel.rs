@@ -3,7 +3,7 @@
 use crate::config::{KernelConfig, SchedMode, SpaceKindSpec, SpaceSpec};
 use crate::daemon::DaemonState;
 use crate::exec::{KtFlavor, Running, Seg};
-use crate::ids::{ActId, AsId, KtId};
+use crate::ids::{ActId, AsId, KtId, VpId};
 use crate::io::DiskOp;
 use crate::kthread::{KtState, KtTable};
 use crate::metrics::{KernelMetrics, RunOutcome, SpaceMetrics};
@@ -200,6 +200,12 @@ pub struct Kernel {
     /// Emptied upcall batches, recycled so a notification allocates
     /// nothing once the pool holds one batch per in-flight upcall.
     pub(crate) upcall_batches: Vec<crate::exec::UpcallBatch>,
+    /// The kick buffer lent to every runtime callback's [`RtEnv`] and
+    /// taken back, emptied, once its kicks are applied: a contended
+    /// lock release wakes its spinner without allocating.
+    ///
+    /// [`RtEnv`]: crate::upcall::RtEnv
+    pub(crate) kicks: Vec<VpId>,
 }
 
 impl Kernel {
@@ -268,6 +274,7 @@ impl Kernel {
             alloc: Default::default(),
             targets_memo: Default::default(),
             upcall_batches: Vec::new(),
+            kicks: Vec::new(),
         };
         kernel.init_daemons();
         kernel
@@ -485,7 +492,7 @@ impl Kernel {
                     .expect("UserOnKt runtime without VP count");
                 let mut vps = Vec::with_capacity(n as usize);
                 for i in 0..n {
-                    let kt = self.new_kthread(id, 1, KtFlavor::Vp(crate::ids::VpId(i)));
+                    let kt = self.new_kthread(id, 1, KtFlavor::Vp(VpId(i)));
                     self.kts.cold[kt.index()].resume = Some(crate::exec::ResumeWith::Fresh);
                     vps.push(kt);
                 }

@@ -80,17 +80,19 @@ impl Kernel {
             .take()
             .expect("upcall while runtime is checked out");
         let mut env = RtEnv::new(now, &self.cost, space.0, &mut self.trace);
+        env.kicks = std::mem::take(&mut self.kicks);
         rt.deliver_upcall(&mut env, VpId(a.0), &batch.events);
-        let kicks = std::mem::take(&mut env.kicks);
+        let mut kicks = std::mem::take(&mut env.kicks);
         self.spaces[space.index()].runtime = Some(rt);
         // Emptied, the batch's buffers carry the next notification.
         batch.events.clear();
         batch.queued_at.clear();
         self.upcall_batches.push(batch);
         self.quiesce_dirty = true;
-        for k in kicks {
+        for k in kicks.drain(..) {
             self.process_kick(space, k);
         }
+        self.kicks = kicks;
         // The user-level entry prologue, then the runtime takes over.
         self.acts[a.index()].in_upcall = false;
         self.acts[a.index()].resume = Some(ResumeWith::Fresh);

@@ -356,6 +356,9 @@ pub struct RtEnv<'a> {
     pub space: u32,
     /// Execution trace sink.
     pub trace: &'a mut Trace,
+    /// Kicks requested so far, in order. The kernel lends its own
+    /// buffer here for each callback and takes it back afterwards, so
+    /// kicking allocates nothing once that buffer has grown.
     pub(crate) kicks: Vec<VpId>,
 }
 

@@ -47,8 +47,9 @@ impl Kernel {
             .take()
             .expect("poll while runtime is checked out");
         let mut env = RtEnv::new(self.q.now(), &self.cost, space.0, &mut self.trace);
+        env.kicks = std::mem::take(&mut self.kicks);
         let action = rt.poll(&mut env, vp, reason);
-        let kicks = std::mem::take(&mut env.kicks);
+        let mut kicks = std::mem::take(&mut env.kicks);
         self.spaces[space.index()].runtime = Some(rt);
         // A `Run` result proves the runtime still has live work (a loaded
         // thread or boot step), so this poll cannot have made the space
@@ -58,11 +59,12 @@ impl Kernel {
         if !matches!(action, VpAction::Run(_)) {
             self.quiesce_dirty = true;
         }
-        for k in kicks {
+        for k in kicks.drain(..) {
             if k != vp {
                 self.process_kick(space, k);
             }
         }
+        self.kicks = kicks;
         action
     }
 

@@ -27,7 +27,7 @@ use sa_machine::ids::{BlockId, LockId, ThreadRef};
 use sa_machine::program::{FnBody, Op, OpResult, ThreadBody};
 use sa_sim::SimDuration;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------
@@ -251,21 +251,31 @@ impl BarnesHut {
     /// Computes the force on body `i` with the θ criterion, recording the
     /// visited nodes.
     pub fn force_on(&self, i: usize) -> ForceResult {
-        let b = self.bodies[i];
         let mut out = ForceResult {
             fx: 0.0,
             fy: 0.0,
             interactions: 0,
             visited: Vec::with_capacity(64),
         };
-        let mut stack = vec![self.root as i32];
+        self.force_into(i, &mut out, &mut Vec::new());
+        out
+    }
+
+    /// As [`BarnesHut::force_on`], into caller-owned buffers: `out` is
+    /// overwritten (its `visited` list cleared, then refilled) and
+    /// `stack` is the traversal's scratch. Reused across bodies, they
+    /// make a traversal allocate nothing once they have grown to the
+    /// largest one.
+    pub fn force_into(&self, i: usize, out: &mut ForceResult, stack: &mut Vec<u32>) {
+        let b = self.bodies[i];
+        let (mut fx, mut fy, mut interactions) = (0.0, 0.0, 0);
+        out.visited.clear();
+        stack.clear();
+        stack.push(self.root as u32);
         const EPS2: f64 = 1e-4;
         while let Some(n) = stack.pop() {
-            if n < 0 {
-                continue;
-            }
             let node = &self.nodes[n as usize];
-            out.visited.push(n as u32);
+            out.visited.push(n);
             if node.count == 0 || node.mass <= 0.0 {
                 continue;
             }
@@ -279,18 +289,20 @@ impl BarnesHut {
                     continue; // self-interaction
                 }
                 let f = node.mass * b.m / (d2 * d);
-                out.fx += f * dx;
-                out.fy += f * dy;
-                out.interactions += 1;
+                fx += f * dx;
+                fy += f * dy;
+                interactions += 1;
             } else {
                 for c in node.children {
                     if c >= 0 {
-                        stack.push(c);
+                        stack.push(c as u32);
                     }
                 }
             }
         }
-        out
+        out.fx = fx;
+        out.fy = fy;
+        out.interactions = interactions;
     }
 
     /// Advances all bodies with the given forces (leapfrog-ish Euler).
@@ -414,7 +426,7 @@ fn node_block(cfg: &NBodyConfig, node: u32) -> BlockId {
 /// the frequent short critical section of §5.3.
 const CACHE_LOCK: LockId = LockId(1);
 
-/// Shared state of the parallel N-body application (one address space).
+/// Shared state of an N-body application (one address space).
 struct Shared {
     cfg: NBodyConfig,
     sim: BarnesHut,
@@ -426,6 +438,14 @@ struct Shared {
     order: Vec<usize>,
     /// Steps completed (observable by tests).
     steps_done: usize,
+    /// The latest traversal's result and scratch stack, reused by every
+    /// body's traversal.
+    traversal: ForceResult,
+    stack: Vec<u32>,
+    /// Every block the step's traversals read, appended as bodies are
+    /// picked; each body's fetches index its own stretch. Emptied when
+    /// the tree is rebuilt, after the step's last fetch.
+    blocks: Vec<BlockId>,
 }
 
 impl Shared {
@@ -445,7 +465,70 @@ impl Shared {
             forces,
             order,
             steps_done: 0,
+            traversal: ForceResult {
+                fx: 0.0,
+                fy: 0.0,
+                interactions: 0,
+                visited: Vec::new(),
+            },
+            stack: Vec::new(),
+            blocks: Vec::new(),
         }
+    }
+
+    /// Rebuilds the tree for a new step and empties the block list;
+    /// returns the build's compute charge.
+    fn build_step(&mut self) -> SimDuration {
+        self.sim.build();
+        self.blocks.clear();
+        self.cfg
+            .build_cost_per_body
+            .saturating_mul(self.cfg.bodies as u64)
+    }
+
+    /// Runs body `i`'s force traversal, records its force, and appends
+    /// the blocks it reads to the step's block list: the body's own
+    /// block, then one per `nodes_per_access` visited nodes. Returns the
+    /// appended stretch and the traversal's compute charge.
+    fn traverse(&mut self, i: usize) -> (Range<usize>, SimDuration) {
+        let Shared {
+            cfg,
+            sim,
+            forces,
+            traversal,
+            stack,
+            blocks,
+            ..
+        } = self;
+        sim.force_into(i, traversal, stack);
+        forces[i] = (traversal.fx, traversal.fy);
+        let start = blocks.len();
+        blocks.push(body_block(cfg, i));
+        let stride = cfg.nodes_per_access.max(1);
+        let nodes = traversal.visited.iter().step_by(stride);
+        blocks.extend(nodes.map(|&n| node_block(cfg, n)));
+        let compute = cfg
+            .interaction_cost
+            .saturating_mul(traversal.interactions.max(1) as u64);
+        (start..blocks.len(), compute)
+    }
+
+    /// Looks up the step's `k`th block in the buffer cache; true on a hit.
+    fn access(&mut self, k: usize) -> bool {
+        let unit = self.cfg.unit_of(self.blocks[k]);
+        self.cache.access(unit)
+    }
+
+    /// Applies the step's forces and counts the step. Returns the
+    /// update's compute charge and whether that was the last step.
+    fn advance_step(&mut self) -> (SimDuration, bool) {
+        self.sim.advance(&self.forces, 0.05);
+        self.steps_done += 1;
+        let d = self
+            .cfg
+            .hit_cost
+            .saturating_mul(self.cfg.bodies as u64 / 4 + 1);
+        (d, self.steps_done >= self.cfg.steps)
     }
 
     /// Reshuffles the per-step body order (deterministic in seed + step).
@@ -526,8 +609,8 @@ enum ChunkPhase {
     NextBody,
     /// Fetch the next block of the current body.
     Fetch,
-    /// Holding the cache lock; the access outcome decides what follows.
-    Locked { hit: bool },
+    /// Holding the cache lock: look the block up.
+    Locked,
     /// Release the lock, then continue (or pay the miss).
     Unlock { hit: bool },
     /// Released the lock after a miss; pay the I/O.
@@ -539,7 +622,7 @@ enum ChunkPhase {
 fn chunk_worker(shared: Rc<RefCell<Shared>>, start: usize, end: usize) -> Box<dyn ThreadBody> {
     let mut phase = ChunkPhase::NextBody;
     let mut body_idx = start;
-    let mut fetch: VecDeque<BlockId> = VecDeque::new();
+    let mut fetch = 0..0;
     let mut compute = SimDuration::ZERO;
     let body = FnBody::new("nbody-chunk", move |_env| {
         loop {
@@ -552,22 +635,7 @@ fn chunk_worker(shared: Rc<RefCell<Shared>>, start: usize, end: usize) -> Box<dy
                     // the per-step shuffled order).
                     let mut sh = shared.borrow_mut();
                     let i = sh.order[body_idx];
-                    let result = sh.sim.force_on(i);
-                    sh.forces[i] = (result.fx, result.fy);
-                    let cfg = &sh.cfg;
-                    let mut blocks: Vec<BlockId> = Vec::with_capacity(20);
-                    blocks.push(body_block(cfg, i));
-                    let stride = cfg.nodes_per_access.max(1);
-                    for (k, &n) in result.visited.iter().enumerate() {
-                        if k % stride == 0 {
-                            blocks.push(node_block(cfg, n));
-                        }
-                    }
-                    compute = cfg
-                        .interaction_cost
-                        .saturating_mul(result.interactions.max(1) as u64);
-                    drop(sh);
-                    fetch = blocks.into_iter().collect();
+                    (fetch, compute) = sh.traverse(i);
                     phase = ChunkPhase::Fetch;
                 }
                 ChunkPhase::Fetch => {
@@ -577,23 +645,20 @@ fn chunk_worker(shared: Rc<RefCell<Shared>>, start: usize, end: usize) -> Box<dy
                     }
                     // Take the cache lock for the access (§5.3's frequent
                     // short application critical section).
-                    phase = ChunkPhase::Locked { hit: false };
+                    phase = ChunkPhase::Locked;
                     return Op::Acquire(CACHE_LOCK);
                 }
-                ChunkPhase::Locked { hit } => {
-                    if fetch.front().is_some() && !hit {
-                        // First visit with the lock held: do the lookup.
-                        let block = fetch.pop_front().expect("checked");
-                        let mut sh = shared.borrow_mut();
-                        let unit = sh.cfg.unit_of(block);
-                        let h = sh.cache.access(unit);
-                        let hit_cost = sh.cfg.hit_cost;
-                        drop(sh);
-                        phase = ChunkPhase::Unlock { hit: h };
-                        // The in-lock work: lookup + (on hit) the copy.
-                        return Op::Compute(hit_cost);
-                    }
-                    unreachable!("Locked entered without a pending fetch");
+                ChunkPhase::Locked => {
+                    let k = fetch
+                        .next()
+                        .expect("Locked entered without a pending fetch");
+                    let mut sh = shared.borrow_mut();
+                    let hit = sh.access(k);
+                    let hit_cost = sh.cfg.hit_cost;
+                    drop(sh);
+                    phase = ChunkPhase::Unlock { hit };
+                    // The in-lock work: lookup + (on hit) the copy.
+                    return Op::Compute(hit_cost);
                 }
                 ChunkPhase::Unlock { hit } => {
                     phase = if hit {
@@ -636,12 +701,8 @@ fn build_main(shared: Rc<RefCell<Shared>>) -> Box<dyn ThreadBody> {
             match &mut phase {
                 MainPhase::BuildTree => {
                     let mut sh = shared.borrow_mut();
-                    sh.sim.build();
+                    let d = sh.build_step();
                     sh.shuffle_order();
-                    let d = sh
-                        .cfg
-                        .build_cost_per_body
-                        .saturating_mul(sh.cfg.bodies as u64);
                     drop(sh);
                     chunks.clear();
                     phase = MainPhase::ForkChunks { next: 0 };
@@ -670,13 +731,7 @@ fn build_main(shared: Rc<RefCell<Shared>>) -> Box<dyn ThreadBody> {
                     phase = MainPhase::Advance;
                 }
                 MainPhase::Advance => {
-                    let mut sh = shared.borrow_mut();
-                    let forces = sh.forces.clone();
-                    sh.sim.advance(&forces, 0.05);
-                    sh.steps_done += 1;
-                    let done = sh.steps_done >= sh.cfg.steps;
-                    let d = sh.cfg.hit_cost.saturating_mul(sh.cfg.bodies as u64 / 4 + 1);
-                    drop(sh);
+                    let (d, done) = shared.borrow_mut().advance_step();
                     phase = if done {
                         MainPhase::Exit
                     } else {
@@ -707,7 +762,7 @@ pub fn nbody_sequential(cfg: NBodyConfig) -> (Box<dyn ThreadBody>, NBodyHandle) 
         },
         Fetch {
             i: usize,
-            fetch: VecDeque<BlockId>,
+            fetch: Range<usize>,
             miss_pending: bool,
             compute: SimDuration,
         },
@@ -718,45 +773,22 @@ pub fn nbody_sequential(cfg: NBodyConfig) -> (Box<dyn ThreadBody>, NBodyHandle) 
     let body = FnBody::new("nbody-seq", move |_env| loop {
         match &mut phase {
             Phase::Build => {
-                let mut sh = shared.borrow_mut();
-                sh.sim.build();
-                let d = sh
-                    .cfg
-                    .build_cost_per_body
-                    .saturating_mul(sh.cfg.bodies as u64);
-                drop(sh);
+                let d = shared.borrow_mut().build_step();
                 phase = Phase::Body { i: 0 };
                 return Op::Compute(d);
             }
             Phase::Body { i } => {
-                let n = shared.borrow().cfg.bodies;
-                if *i >= n {
+                let mut sh = shared.borrow_mut();
+                if *i >= sh.cfg.bodies {
                     phase = Phase::Advance;
                     continue;
                 }
-                let mut sh = shared.borrow_mut();
-                let idx = *i;
-                let result = sh.sim.force_on(idx);
-                sh.forces[idx] = (result.fx, result.fy);
-                let cfg = &sh.cfg;
-                let mut blocks: Vec<BlockId> = Vec::with_capacity(20);
-                blocks.push(body_block(cfg, idx));
-                let stride = cfg.nodes_per_access.max(1);
-                for (k, &nd) in result.visited.iter().enumerate() {
-                    if k % stride == 0 {
-                        blocks.push(node_block(cfg, nd));
-                    }
-                }
-                let d = cfg
-                    .interaction_cost
-                    .saturating_mul(result.interactions.max(1) as u64);
-                drop(sh);
-                let next_i = *i + 1;
+                let (fetch, compute) = sh.traverse(*i);
                 phase = Phase::Fetch {
-                    i: next_i,
-                    fetch: blocks.into_iter().collect(),
+                    i: *i + 1,
+                    fetch,
                     miss_pending: false,
-                    compute: d,
+                    compute,
                 };
             }
             Phase::Fetch {
@@ -769,10 +801,9 @@ pub fn nbody_sequential(cfg: NBodyConfig) -> (Box<dyn ThreadBody>, NBodyHandle) 
                     *miss_pending = false;
                     return Op::Io(MISS_PENALTY);
                 }
-                if let Some(block) = fetch.pop_front() {
+                if let Some(k) = fetch.next() {
                     let mut sh = shared.borrow_mut();
-                    let unit = sh.cfg.unit_of(block);
-                    let hit = sh.cache.access(unit);
+                    let hit = sh.access(k);
                     let hit_cost = sh.cfg.hit_cost;
                     drop(sh);
                     if !hit {
@@ -785,13 +816,7 @@ pub fn nbody_sequential(cfg: NBodyConfig) -> (Box<dyn ThreadBody>, NBodyHandle) 
                 return Op::Compute(d);
             }
             Phase::Advance => {
-                let mut sh = shared.borrow_mut();
-                let forces = sh.forces.clone();
-                sh.sim.advance(&forces, 0.05);
-                sh.steps_done += 1;
-                let done = sh.steps_done >= sh.cfg.steps;
-                let d = sh.cfg.hit_cost.saturating_mul(sh.cfg.bodies as u64 / 4 + 1);
-                drop(sh);
+                let (d, done) = shared.borrow_mut().advance_step();
                 phase = if done { Phase::Exit } else { Phase::Build };
                 return Op::Compute(d);
             }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sa_machine::BlockId;
-use sa_workload::nbody::BarnesHut;
+use sa_workload::nbody::{BarnesHut, ForceResult};
 use sa_workload::BufCache;
 
 /// A straightforward reference LRU.
@@ -64,9 +64,27 @@ proptest! {
     }
 
     /// Barnes-Hut with θ → 0 equals direct summation (up to the softening
-    /// the tree also uses), for random body sets.
+    /// the tree also uses), for random body sets. At a random θ,
+    /// `force_into` with one result and stack reused across every body
+    /// returns exactly what `force_on` does.
     #[test]
-    fn barnes_hut_theta_zero_is_direct_sum(n in 4usize..40, seed in 0u64..1000) {
+    fn barnes_hut_theta_zero_is_direct_sum(
+        n in 4usize..40,
+        seed in 0u64..1000,
+        theta_pct in 0u32..150,
+    ) {
+        let approx = BarnesHut::new_disk(n, f64::from(theta_pct) / 100.0, seed);
+        let mut out = ForceResult { fx: 0.0, fy: 0.0, interactions: 0, visited: Vec::new() };
+        let mut stack = Vec::new();
+        for i in 0..n {
+            approx.force_into(i, &mut out, &mut stack);
+            let want = approx.force_on(i);
+            prop_assert_eq!(out.fx.to_bits(), want.fx.to_bits(), "fx of body {}", i);
+            prop_assert_eq!(out.fy.to_bits(), want.fy.to_bits(), "fy of body {}", i);
+            prop_assert_eq!(out.interactions, want.interactions, "body {}", i);
+            prop_assert_eq!(&out.visited, &want.visited, "body {}", i);
+        }
+
         let bh = BarnesHut::new_disk(n, 1e-12, seed);
         for i in 0..n {
             let f = bh.force_on(i);
