@@ -24,7 +24,7 @@ use sa_core::slo;
 use sa_core::sweeps::{fig1_grid_throughput, latency_rows, upcall_measurements};
 use sa_core::trace_export::{perfetto_counters_json, perfetto_json, text_log};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
-use sa_harness::{host_jobs, parse_jobs, PanickedJob};
+use sa_harness::{jobs_from_env, parse_jobs, PanickedJob};
 use sa_kernel::{AllocPolicy, AllocPolicyKind, AllocView, DaemonSpec, SpaceDemand, SpaceShareEven};
 use sa_machine::CostModel;
 use sa_sim::{
@@ -326,14 +326,6 @@ fn best_of(n: usize, mut run: impl FnMut() -> EngineThroughput) -> EngineThrough
 /// the kernel loop's `pop_batch` drains in one queue entry. Returns host
 /// throughput on the chosen event core.
 fn batch_dispatch_throughput(core: EventCore) -> EngineThroughput {
-    shardable_system_throughput(core, 1)
-}
-
-/// The [`batch_dispatch_throughput`] system with the shard count forced:
-/// the `shard_scaling` pairing runs the identical multiprogrammed 6-CPU
-/// workload serially and partitioned, and the virtual-time results are
-/// byte-identical by construction — only host throughput may differ.
-fn shardable_system_throughput(core: EventCore, shards: u16) -> EngineThroughput {
     let cost = CostModel::firefly_prototype();
     let cfg = NBodyConfig {
         bodies: NBodyConfig::default().bodies / 2,
@@ -343,7 +335,6 @@ fn shardable_system_throughput(core: EventCore, shards: u16) -> EngineThroughput
         .cost(cost)
         .seed(1)
         .event_core(core)
-        .shards(shards)
         .daemons(DaemonSpec::topaz_default_set())
         .run_limit(SimTime::from_millis(3_600_000));
     for copy in 0..2 {
@@ -635,37 +626,6 @@ fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
             "2-app 6-cpu run; indexed core {:.0}/s ({:.2}x of wheel)",
             batch_indexed.events_per_sec(),
             batch_indexed.events_per_sec() / batch_wheel.events_per_sec()
-        ),
-    ));
-
-    // Deterministic shard scaling: the same multiprogrammed system run
-    // serially and partitioned into 4 shards (virtual-time output is
-    // byte-identical — the determinism suites gate that; this line
-    // tracks only host throughput). Interleaved best-of-3, like every
-    // system pairing here. The speedup is bounded by available host
-    // cores: ~1x is the expected ceiling on the 1-core reference box,
-    // and `sa-bench-check` skips this line's ratio assertion there.
-    const SHARD_COUNT: u16 = 4;
-    let mut shard_serial = shardable_system_throughput(EventCore::Wheel, 1);
-    let mut shard_multi = shardable_system_throughput(EventCore::Wheel, SHARD_COUNT);
-    for _ in 0..2 {
-        let s = shardable_system_throughput(EventCore::Wheel, 1);
-        if s.host_seconds < shard_serial.host_seconds {
-            shard_serial = s;
-        }
-        let m = shardable_system_throughput(EventCore::Wheel, SHARD_COUNT);
-        if m.host_seconds < shard_multi.host_seconds {
-            shard_multi = m;
-        }
-    }
-    lines.push(BenchLine::new(
-        "shard_scaling",
-        shard_multi.events_per_sec(),
-        format!(
-            "2-app 6-cpu run at {SHARD_COUNT} shards; serial {:.0}/s; speedup {:.2}x \
-             (bounded by host cores; byte-identical output either way)",
-            shard_serial.events_per_sec(),
-            shard_serial.host_seconds / shard_multi.host_seconds
         ),
     ));
 
@@ -1126,15 +1086,15 @@ fn usage() -> String {
          \n\
          --jobs N     run sweep cells on N host threads (default: host cores,\n\
          \u{20}             or the SA_JOBS environment variable); --jobs 1 is fully serial\n\
-         --alloc P    kernel processor-allocation policy (even|affinity|strict-priority)\n\
-         --ready P    user-level ready-queue discipline (local|global-fifo|global-lifo)\n\
+         --alloc P    kernel processor-allocation policy ({})\n\
+         --ready P    user-level ready-queue discipline ({})\n\
          --requests N override the SLO profile's request count (quick runs)\n\
          --spaces N   fan the SLO generator across N address spaces (aggregate\n\
          \u{20}             arrival rate preserved; exercises the processor allocator)\n\
-         --shards N   partition each simulation into N deterministic shards\n\
-         \u{20}             (exported as SA_SHARDS; output is byte-identical at any N)\n\
          --list       list subcommands (or, after 'run'/'slo', scenarios) and exit",
-        names.join("|")
+        names.join("|"),
+        AllocPolicyKind::ALL.map(|k| k.name()).join("|"),
+        ReadyPolicyKind::ALL.map(|k| k.name()).join("|"),
     )
 }
 
@@ -1151,8 +1111,6 @@ struct Options {
     requests: Option<usize>,
     /// Address-space fan-out override for the `slo` subcommand.
     spaces: Option<u32>,
-    /// Simulation shard count (exported as `SA_SHARDS` before any run).
-    shards: Option<u16>,
     /// Policy pair for the `run` and `slo` subcommands.
     policies: PolicyConfig,
 }
@@ -1165,7 +1123,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
     let mut format: Option<String> = None;
     let mut requests: Option<usize> = None;
     let mut spaces: Option<u32> = None;
-    let mut shards: Option<u16> = None;
     let mut alloc: Option<AllocPolicyKind> = None;
     let mut ready: Option<ReadyPolicyKind> = None;
     let mut args = args.peekable();
@@ -1195,13 +1152,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
             spaces = Some(parse_spaces(&value)?);
         } else if let Some(value) = arg.strip_prefix("--spaces=") {
             spaces = Some(parse_spaces(value)?);
-        } else if arg == "--shards" {
-            let value = args
-                .next()
-                .ok_or_else(|| "--shards requires a count (e.g. --shards 2)".to_string())?;
-            shards = Some(parse_shards(&value)?);
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            shards = Some(parse_shards(value)?);
         } else if arg == "--alloc" {
             let value = args
                 .next()
@@ -1283,16 +1233,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
     if cmd.as_deref() == Some("run") && arg2.is_none() {
         return Err("run requires a scenario name ('run --list' lists them)".to_string());
     }
+    // The flag wins over the environment; the environment over the host.
     let jobs = match jobs {
         Some(j) => j,
-        // The flag wins over the environment; the environment over the host.
-        None => match std::env::var("SA_JOBS") {
-            Ok(v) => parse_jobs(&v).map_err(|e| format!("SA_JOBS: {e}"))?,
-            Err(std::env::VarError::NotPresent) => host_jobs(),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                return Err("SA_JOBS: value is not valid UTF-8".to_string())
-            }
-        },
+        None => jobs_from_env()?,
     };
     Ok(Some(Options {
         jobs,
@@ -1302,7 +1246,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
         format,
         requests,
         spaces,
-        shards,
         policies: PolicyConfig {
             alloc: alloc.unwrap_or_default(),
             ready: ready.unwrap_or_default(),
@@ -1326,16 +1269,6 @@ fn parse_spaces(v: &str) -> Result<u32, String> {
         .map_err(|_| format!("--spaces: '{v}' is not a count"))?;
     if n == 0 {
         return Err("--spaces: must be at least 1".to_string());
-    }
-    Ok(n)
-}
-
-fn parse_shards(v: &str) -> Result<u16, String> {
-    let n: u16 = v
-        .parse()
-        .map_err(|_| format!("--shards: '{v}' is not a count"))?;
-    if n == 0 {
-        return Err("--shards: must be at least 1".to_string());
     }
     Ok(n)
 }
@@ -1416,13 +1349,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The flag wins over the environment: every `SystemBuilder::build`
-    // in this process (including sweep cells on worker threads) reads
-    // `SA_SHARDS`, so exporting it here — before any thread spawns —
-    // shards every simulation the subcommand runs.
-    if let Some(n) = opts.shards {
-        std::env::set_var("SA_SHARDS", n.to_string());
-    }
     if let Err(panicked) = run(&opts) {
         eprintln!("sa-experiments: {panicked}");
         std::process::exit(1);

@@ -33,7 +33,7 @@ pub mod system;
 pub mod trace_export;
 
 pub use scenario::PolicyConfig;
-pub use system::{shards_from_env, AppId, AppSpec, RunReport, System, SystemBuilder, ThreadApi};
+pub use system::{AppId, AppSpec, RunReport, System, SystemBuilder, ThreadApi};
 
 // Re-export the composing crates so downstream users need one dependency.
 pub use sa_harness;

@@ -79,28 +79,6 @@ impl AppSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppId(pub(crate) sa_kernel::AsId);
 
-/// Shard count from the `SA_SHARDS` environment variable, defaulting to
-/// 1 (the serial engine) when unset. A set-but-invalid value is an
-/// error, not a silent fallback. Every [`SystemBuilder`] consults this,
-/// so an exported `SA_SHARDS=2` shards the scenario matrix, the SLO
-/// pipeline, and every test binary without per-call-site plumbing;
-/// [`SystemBuilder::shards`] overrides it.
-pub fn shards_from_env() -> Result<u16, String> {
-    match std::env::var("SA_SHARDS") {
-        Ok(v) => match v.trim().parse::<u16>() {
-            Ok(0) => Err("SA_SHARDS: shard count must be at least 1, got 0".to_string()),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!(
-                "SA_SHARDS: invalid shard count '{v}' (expected a positive integer)"
-            )),
-        },
-        Err(std::env::VarError::NotPresent) => Ok(1),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("SA_SHARDS: value is not valid UTF-8".to_string())
-        }
-    }
-}
-
 /// Builder for a complete simulated system.
 pub struct SystemBuilder {
     cpus: u16,
@@ -112,7 +90,6 @@ pub struct SystemBuilder {
     seed: u64,
     event_core: EventCore,
     dyn_policies: bool,
-    shards: Option<u16>,
     run_limit: SimTime,
     trace: Option<Trace>,
     windowed: Option<SimDuration>,
@@ -134,7 +111,6 @@ impl SystemBuilder {
             seed: 0x5eed,
             event_core: EventCore::default(),
             dyn_policies: false,
-            shards: None,
             run_limit: SimTime::from_millis(600_000),
             trace: None,
             windowed: None,
@@ -193,15 +169,6 @@ impl SystemBuilder {
     /// Sets the hard virtual-time limit.
     pub fn run_limit(mut self, limit: SimTime) -> Self {
         self.run_limit = limit;
-        self
-    }
-
-    /// Partitions this run into `n` shards (per-shard event lanes staged
-    /// by host worker threads; results are byte-identical at any shard
-    /// count — see DESIGN.md §7). Overrides the `SA_SHARDS` environment
-    /// variable; the default is serial. Clamped to the CPU count.
-    pub fn shards(mut self, n: u16) -> Self {
-        self.shards = Some(n);
         self
     }
 
@@ -269,9 +236,6 @@ impl SystemBuilder {
             seed: self.seed,
             event_core: self.event_core,
             run_limit: self.run_limit,
-            shards: self
-                .shards
-                .unwrap_or_else(|| shards_from_env().expect("bad shard count")),
         };
         let mut kernel = Kernel::new(cfg, self.cost);
         if self.dyn_policies {

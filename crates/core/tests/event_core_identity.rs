@@ -15,17 +15,6 @@ use sa_workload::nbody::NBodyConfig;
 /// six CPUs, Topaz daemons) on the given core and returns the full trace
 /// plus per-app elapsed times.
 fn fig1_run(core: EventCore, seed: u64) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
-    fig1_run_sharded(core, seed, 1)
-}
-
-/// As [`fig1_run`], partitioned into `shards` deterministic shards (the
-/// sharded engine must merge lanes back into the exact serial order, so
-/// the trace is byte-identical at any shard count).
-fn fig1_run_sharded(
-    core: EventCore,
-    seed: u64,
-    shards: u16,
-) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
     let cfg = NBodyConfig {
         bodies: 40,
         steps: 2,
@@ -36,7 +25,6 @@ fn fig1_run_sharded(
         .cost(CostModel::firefly_prototype())
         .seed(seed)
         .event_core(core)
-        .shards(shards)
         .daemons(sa_kernel::DaemonSpec::topaz_default_set())
         .trace(Trace::bounded(200_000))
         .app(AppSpec::new(
@@ -59,16 +47,6 @@ fn table5_run(
     api: ThreadApi,
     seed: u64,
 ) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
-    table5_run_sharded(core, api, seed, 1)
-}
-
-/// As [`table5_run`], partitioned into `shards` deterministic shards.
-fn table5_run_sharded(
-    core: EventCore,
-    api: ThreadApi,
-    seed: u64,
-    shards: u16,
-) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
     let cfg = NBodyConfig {
         bodies: 30,
         steps: 1,
@@ -78,7 +56,6 @@ fn table5_run_sharded(
         .cost(CostModel::firefly_prototype())
         .seed(seed)
         .event_core(core)
-        .shards(shards)
         .trace(Trace::bounded(200_000));
     for copy in 0..2 {
         let (body, _handle) = sa_workload::nbody::nbody_parallel(cfg.clone());
@@ -127,43 +104,5 @@ fn table5_scenario_trace_identical_across_cores() {
             table5_run(EventCore::Wheel, api.clone(), 9),
             table5_run(EventCore::Indexed, api, 9),
         );
-    }
-}
-
-/// The sharded engine at 2 and 4 shards must replay the serial fig1 run
-/// byte for byte: identical trace records and elapsed times. Shards > 1
-/// swap in the multi-lane queue (per-lane heaps, worker staging, gseq
-/// merge), so this pins the whole lane/merge machinery against the
-/// serial engine at system scale.
-#[test]
-fn fig1_scenario_trace_identical_across_shard_counts() {
-    let serial = fig1_run_sharded(EventCore::Wheel, 42, 1);
-    for shards in [2, 4] {
-        assert_identical(
-            &format!("fig1 shards={shards}"),
-            serial.clone(),
-            fig1_run_sharded(EventCore::Wheel, 42, shards),
-        );
-    }
-}
-
-/// Same for the multiprogrammed Table 5 shape, under both the
-/// scheduler-activation and the original FastThreads APIs (the two APIs
-/// route different event mixes — upcall batches vs timer multiplexing —
-/// through the cross-shard lanes).
-#[test]
-fn table5_scenario_trace_identical_across_shard_counts() {
-    for api in [
-        ThreadApi::SchedulerActivations { max_processors: 6 },
-        ThreadApi::OrigFastThreads { vps: 3 },
-    ] {
-        let serial = table5_run_sharded(EventCore::Wheel, api.clone(), 9, 1);
-        for shards in [2, 4] {
-            assert_identical(
-                &format!("table5 shards={shards}"),
-                serial.clone(),
-                table5_run_sharded(EventCore::Wheel, api.clone(), 9, shards),
-            );
-        }
     }
 }

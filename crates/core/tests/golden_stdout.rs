@@ -11,7 +11,12 @@
 //!    they must not perturb anything else. A non-default ready policy
 //!    must change the output, proving the flags are actually wired
 //!    through rather than parsed and dropped.
+//!
+//! The usage text printed on a bad flag lists every policy the flags
+//! accept.
 
+use sa_kernel::AllocPolicyKind;
+use sa_uthread::ReadyPolicyKind;
 use std::process::Command;
 
 /// Explicit spellings of `PolicyConfig::default()` on the CLI.
@@ -93,4 +98,27 @@ fn profile_explicit_default_pair_is_byte_identical() {
         implicit, fifo,
         "profile: --ready=global-fifo produced the default-policy profile (flag not wired)"
     );
+}
+
+#[test]
+fn unknown_flag_usage_lists_every_policy() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sa-experiments"))
+        .arg("--no-such-flag")
+        .output()
+        .expect("spawn sa-experiments");
+    assert_eq!(out.status.code(), Some(2), "bad flag must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--no-such-flag'"), "{stderr}");
+    for (flag, names) in [
+        ("--alloc", AllocPolicyKind::ALL.map(|k| k.name()).to_vec()),
+        ("--ready", ReadyPolicyKind::ALL.map(|k| k.name()).to_vec()),
+    ] {
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with(flag))
+            .unwrap_or_else(|| panic!("usage has no {flag} line:\n{stderr}"));
+        for name in names {
+            assert!(line.contains(name), "{line:?} omits {name}");
+        }
+    }
 }

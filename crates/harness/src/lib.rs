@@ -30,8 +30,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::thread;
 
 /// A boxed sweep job: runs once on some host worker thread and yields a
@@ -184,148 +184,6 @@ where
     run_ordered(jobs, tasks)
 }
 
-// ---- persistent worker team (within-run sharding) ----------------------
-
-/// One dispatch round's state (guarded by [`TeamShared::m`]).
-#[derive(Default)]
-struct Round {
-    /// Bumped once per round so sleeping workers can tell a new round
-    /// from a spurious wakeup.
-    epoch: u64,
-    /// Task indices `0..tasks` to run this round.
-    tasks: usize,
-    /// Next unclaimed task index.
-    next: usize,
-    /// Tasks completed so far this round.
-    done: usize,
-    /// Set once, at team teardown.
-    shutdown: bool,
-}
-
-/// State shared between the coordinator and its workers.
-struct TeamShared<'w> {
-    work: &'w (dyn Fn(usize) + Sync),
-    m: Mutex<Round>,
-    /// Signals workers: a new round opened (or shutdown).
-    start: Condvar,
-    /// Signals the coordinator: the round's last task finished.
-    finish: Condvar,
-}
-
-/// Handle for dispatching rounds on a worker team created by
-/// [`with_worker_team`].
-pub struct TeamHandle<'s, 'w> {
-    shared: &'s TeamShared<'w>,
-}
-
-impl TeamHandle<'_, '_> {
-    /// Runs `work(i)` for every `i in 0..tasks` across the team and
-    /// returns when all have completed. The coordinator participates in
-    /// claiming tasks (a team of one runs everything inline, spawning
-    /// nothing), so a round never deadlocks regardless of worker count.
-    /// Claim order is racy; callers must make `work` order-independent
-    /// (each task touching disjoint state).
-    pub fn round(&self, tasks: usize) {
-        if tasks == 0 {
-            return;
-        }
-        let shared = self.shared;
-        {
-            let mut g = shared.m.lock().expect("team lock poisoned");
-            g.epoch += 1;
-            g.tasks = tasks;
-            g.next = 0;
-            g.done = 0;
-        }
-        shared.start.notify_all();
-        let mut g = shared.m.lock().expect("team lock poisoned");
-        while g.next < g.tasks {
-            let i = g.next;
-            g.next += 1;
-            drop(g);
-            (shared.work)(i);
-            g = shared.m.lock().expect("team lock poisoned");
-            g.done += 1;
-        }
-        while g.done < g.tasks {
-            g = shared.finish.wait(g).expect("team lock poisoned");
-        }
-    }
-}
-
-/// A team worker: sleep until a round opens, claim task indices until the
-/// round drains, repeat until shutdown.
-fn team_worker(shared: &TeamShared<'_>) {
-    let mut seen = 0u64;
-    let mut g = shared.m.lock().expect("team lock poisoned");
-    loop {
-        while !g.shutdown && (g.epoch == seen || g.next >= g.tasks) {
-            g = shared.start.wait(g).expect("team lock poisoned");
-        }
-        if g.shutdown {
-            return;
-        }
-        seen = g.epoch;
-        while g.next < g.tasks {
-            let i = g.next;
-            g.next += 1;
-            drop(g);
-            (shared.work)(i);
-            g = shared.m.lock().expect("team lock poisoned");
-            g.done += 1;
-            if g.done == g.tasks {
-                shared.finish.notify_all();
-            }
-        }
-    }
-}
-
-/// Runs `body` with a persistent team of `team_size` threads (the calling
-/// thread included) that repeatedly executes `work` rounds dispatched via
-/// [`TeamHandle::round`].
-///
-/// This is the within-run counterpart of [`run_ordered`]: a sharded
-/// simulation dispatches one short staging round per event window, far
-/// too frequent to spawn threads for, so the team is spawned once
-/// (`std::thread::scope`, std-only like the sweep pool) and parked on a
-/// condvar between rounds. `team_size <= 1` spawns nothing and runs every
-/// round inline on the calling thread — byte-identical results either
-/// way, since round outputs must be order-independent by contract.
-///
-/// If `body` panics, the team is shut down and joined before the panic
-/// resumes, so no worker outlives its borrowed `work` closure.
-pub fn with_worker_team<R>(
-    team_size: usize,
-    work: &(dyn Fn(usize) + Sync),
-    body: impl FnOnce(&TeamHandle<'_, '_>) -> R,
-) -> R {
-    let shared = TeamShared {
-        work,
-        m: Mutex::new(Round::default()),
-        start: Condvar::new(),
-        finish: Condvar::new(),
-    };
-    let handle = TeamHandle { shared: &shared };
-    if team_size <= 1 {
-        return body(&handle);
-    }
-    thread::scope(|s| {
-        for _ in 0..team_size - 1 {
-            s.spawn(|| team_worker(&shared));
-        }
-        let out = catch_unwind(AssertUnwindSafe(|| body(&handle)));
-        {
-            let mut g = shared.m.lock().expect("team lock poisoned");
-            g.shutdown = true;
-        }
-        shared.start.notify_all();
-        match out {
-            Ok(r) => r,
-            Err(p) => resume_unwind(p),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,69 +298,5 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let tasks: Vec<Job<'_, u8>> = vec![Box::new(|| 1), Box::new(|| 2)];
         assert_eq!(run_ordered(jobs(16), tasks).unwrap(), vec![1, 2]);
-    }
-
-    #[test]
-    fn team_rounds_cover_every_task_exactly_once() {
-        for team_size in [1usize, 2, 4] {
-            let lanes = 8;
-            let hits: Vec<AtomicUsize> = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
-            let hits_ref = &hits;
-            with_worker_team(
-                team_size,
-                &|i| {
-                    hits_ref[i].fetch_add(1, Ordering::SeqCst);
-                },
-                |team| {
-                    for round in 1..=50usize {
-                        team.round(lanes);
-                        for h in hits_ref {
-                            assert_eq!(h.load(Ordering::SeqCst), round, "team={team_size}");
-                        }
-                    }
-                },
-            );
-        }
-    }
-
-    #[test]
-    fn team_rounds_vary_task_counts_and_empty_rounds() {
-        let hits = AtomicUsize::new(0);
-        let hits_ref = &hits;
-        with_worker_team(
-            3,
-            &|_| {
-                hits_ref.fetch_add(1, Ordering::SeqCst);
-            },
-            |team| {
-                team.round(0);
-                assert_eq!(hits_ref.load(Ordering::SeqCst), 0);
-                team.round(5);
-                team.round(1);
-                team.round(16);
-            },
-        );
-        assert_eq!(hits.load(Ordering::SeqCst), 22);
-    }
-
-    #[test]
-    fn team_body_panic_still_joins_workers() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            with_worker_team(4, &|_| {}, |team| {
-                team.round(2);
-                panic!("mid-run");
-            })
-        }));
-        let msg = panic_message(result.unwrap_err());
-        assert_eq!(msg, "mid-run");
-    }
-
-    #[test]
-    fn team_returns_body_value() {
-        let v = with_worker_team(2, &|_| {}, |team| {
-            team.round(3);
-            42u64
-        });
-        assert_eq!(v, 42);
     }
 }

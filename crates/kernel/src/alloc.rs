@@ -416,13 +416,6 @@ impl Kernel {
                 },
             );
         }
-        self.mailbox.post(
-            &self.plan,
-            crate::mailbox::CrossShardMsg::Grant {
-                cpu: cpu as u32,
-                space: space.0,
-            },
-        );
         self.assign_cpu(cpu, space, decision);
         self.trace.event(self.q.now(), || TraceEvent::Grant {
             cpu: cpu as u32,

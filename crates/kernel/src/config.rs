@@ -78,15 +78,6 @@ pub struct KernelConfig {
     /// Hard stop: the run aborts (reporting `timed_out`) if virtual time
     /// exceeds this bound, so misconfigured workloads cannot hang a suite.
     pub run_limit: SimTime,
-    /// Number of shards the run is partitioned into. `1` (the default)
-    /// is the serial engine, byte-identical hot path included. Values
-    /// above 1 split the simulated CPUs and address spaces across
-    /// per-shard event lanes staged by host worker threads under
-    /// conservative lookahead; the delivered event order — and therefore
-    /// every trace, ledger, and golden output — is byte-identical to the
-    /// serial engine at any shard count (DESIGN.md §7). Clamped to the
-    /// CPU count.
-    pub shards: u16,
 }
 
 impl Default for KernelConfig {
@@ -100,7 +91,6 @@ impl Default for KernelConfig {
             seed: 0x005e_ed5a,
             event_core: EventCore::default(),
             run_limit: SimTime::from_millis(600_000), // 10 virtual minutes
-            shards: 1,
         }
     }
 }
@@ -199,7 +189,6 @@ mod tests {
         assert_eq!(c.alloc_policy, AllocPolicyKind::SpaceShareEven);
         assert!(c.daemons.is_empty());
         assert_eq!(c.event_core, EventCore::Wheel);
-        assert_eq!(c.shards, 1, "serial engine by default");
     }
 
     #[test]

@@ -612,14 +612,6 @@ impl Kernel {
         batch.events.push(ev);
         batch.queued_at.append(&mut sa.pending_since);
         batch.queued_at.push(now);
-        self.mailbox.post(
-            &self.plan,
-            crate::mailbox::CrossShardMsg::UpcallBatch {
-                cpu: cpu as u32,
-                space: space.0,
-                events: batch.events.len() as u32,
-            },
-        );
         // Allocate the vessel: cached husks are cheap (§4.3).
         let (a, create_cost) = match self.spaces[space.index()].sa.cached.pop() {
             Some(husk) => {

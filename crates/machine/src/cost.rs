@@ -232,29 +232,6 @@ impl CostModel {
         m.quantum = SimDuration::from_millis(5);
         m
     }
-
-    /// The minimum virtual-time cost any cross-shard edge pays before it
-    /// becomes visible to another shard — the conservative lookahead `L`
-    /// of a sharded run (DESIGN.md §7).
-    ///
-    /// The only cross-shard edges in the kernel are:
-    ///
-    /// - **processor grants** — every reallocation path charges at least
-    ///   one [`CostModel::alloc_decision`] before the grant lands;
-    /// - **upcall / preemption batches** — stopping a remote activation
-    ///   pays [`CostModel::act_stop_and_save`] (and delivery adds
-    ///   activation + dispatch costs on top);
-    /// - **IO completions** — the disk interrupt pays
-    ///   [`CostModel::interrupt_entry`] before any waiter is touched.
-    ///
-    /// The minimum over those three entry costs bounds how far ahead of
-    /// the global commit time a shard may run before an edge from another
-    /// shard could possibly affect it.
-    pub fn min_cross_shard_edge(&self) -> SimDuration {
-        self.alloc_decision
-            .min(self.act_stop_and_save)
-            .min(self.interrupt_entry)
-    }
 }
 
 #[cfg(test)]
@@ -293,34 +270,5 @@ mod tests {
     fn cached_activations_are_cheaper_than_fresh() {
         let m = CostModel::firefly_prototype();
         assert!(m.act_create_cached < m.act_create_fresh);
-    }
-
-    #[test]
-    fn lookahead_is_the_minimum_cross_shard_edge() {
-        for m in [
-            CostModel::firefly_prototype(),
-            CostModel::tuned(),
-            CostModel::uniform_test(),
-        ] {
-            let l = m.min_cross_shard_edge();
-            assert!(l <= m.alloc_decision);
-            assert!(l <= m.act_stop_and_save);
-            assert!(l <= m.interrupt_entry);
-            assert!(
-                l == m.alloc_decision || l == m.act_stop_and_save || l == m.interrupt_entry,
-                "lookahead must be one of the edge costs"
-            );
-            assert!(
-                l > SimDuration::from_nanos(0),
-                "zero lookahead never stages"
-            );
-        }
-        // On the Firefly the interrupt entry (15 µs) is the tightest edge.
-        assert_eq!(
-            CostModel::firefly_prototype()
-                .min_cross_shard_edge()
-                .as_micros(),
-            15
-        );
     }
 }

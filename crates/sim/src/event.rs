@@ -53,11 +53,6 @@ use crate::time::SimTime;
 pub struct EventToken {
     pub(crate) slot: u32,
     pub(crate) gen: u32,
-    /// Which lane of a [`crate::shard::ShardedQueue`] issued this token.
-    /// Always 0 for tokens issued by a plain [`EventQueue`] (the cores
-    /// know nothing about lanes); the sharded facade stamps it so
-    /// cancellation can find the owning lane without a search.
-    pub(crate) lane: u32,
 }
 
 /// Which implementation backs an [`EventQueue`].

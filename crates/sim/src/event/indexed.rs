@@ -114,7 +114,6 @@ impl<E> IndexedQueue<E> {
         EventToken {
             slot,
             gen: self.nodes[slot as usize].gen,
-            lane: 0,
         }
     }
 
@@ -239,49 +238,6 @@ impl<E> IndexedQueue<E> {
             return Some(self.free_node(slot));
         }
         None
-    }
-
-    /// The next live event's timestamp and a borrow of its payload, if
-    /// any; O(1) and immutable. Used by the sharded facade to merge lane
-    /// heads by a key carried *inside* the payload, which `peek_time`
-    /// cannot surface. Must not be called with a staged batch pending
-    /// (lanes never use the batch API).
-    pub fn peek_head(&self) -> Option<(SimTime, &E)> {
-        debug_assert_eq!(self.staged_live, 0, "peek_head with a batch pending");
-        self.heap.first().map(|&slot| {
-            let n = &self.nodes[slot as usize];
-            (n.time, n.event.as_ref().expect("dead entry at heap head"))
-        })
-    }
-
-    /// Removes every event with `time <= limit` in strict `(time, seq)`
-    /// order, feeding each to `sink` along with its timestamp and its
-    /// *original* token — the token issued at schedule time, still naming
-    /// the (now freed and generation-bumped) slab slot. **The clock does
-    /// not advance**: this is the parallel-staging primitive of the
-    /// sharded queue, which drains a lane ahead of the global commit
-    /// clock and must still accept schedules earlier than the drained
-    /// horizon (but at or after global now) afterwards. Because a freed
-    /// slot's generation has been bumped, the original token can never
-    /// alias a later occupant of the slot: `(slot, gen)` pairs are unique
-    /// across the queue's lifetime. Must not be called with a staged
-    /// batch pending.
-    pub fn drain_upto(&mut self, limit: SimTime, mut sink: impl FnMut(SimTime, EventToken, E)) {
-        debug_assert_eq!(self.staged_live, 0, "drain_upto with a batch pending");
-        while let Some(&slot) = self.heap.first() {
-            let time = self.nodes[slot as usize].time;
-            if time > limit {
-                break;
-            }
-            let token = EventToken {
-                slot,
-                gen: self.nodes[slot as usize].gen,
-                lane: 0,
-            };
-            self.detach_at(0);
-            let ev = self.free_node(slot);
-            sink(time, token, ev);
-        }
     }
 
     /// Timestamp of the next live event without popping it, if any.

@@ -176,7 +176,6 @@ impl<E> WheelQueue<E> {
         EventToken {
             slot: idx,
             gen: self.nodes[idx as usize].gen,
-            lane: 0,
         }
     }
 

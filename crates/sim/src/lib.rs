@@ -15,7 +15,6 @@ pub mod event;
 pub mod ledger;
 pub mod paged;
 pub mod rng;
-pub mod shard;
 pub mod span;
 pub mod stats;
 pub mod time;
@@ -27,7 +26,6 @@ pub use event::{BatchStart, EventCore, EventQueue, EventToken, PopNext};
 pub use ledger::{CpuState, TimeLedger, WaitKind};
 pub use paged::PagedVec;
 pub use rng::SimRng;
-pub use shard::{MultiLanes, ShardPlan, ShardedQueue};
 pub use span::{Span, SpanBook, SpanPhase};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent, TraceRecord, Tracer, UpcallKind};

@@ -365,39 +365,3 @@ proptest! {
         prop_assert!(q1 <= q2 && q2 <= q3 && q3 <= h.max());
     }
 }
-
-proptest! {
-    /// The shard partitioner is a total, balanced, stable partition: the
-    /// effective shard count is clamped to `[1, cpus]`, every CPU maps to
-    /// exactly one in-range shard, shard sizes differ by at most one, CPU
-    /// blocks are contiguous (monotone shard ids), and space homing is an
-    /// in-range pure function of the space id.
-    #[test]
-    fn shard_plan_is_a_balanced_partition(
-        requested in 0u32..40,
-        cpus in 1u32..64,
-        space in any::<u32>(),
-    ) {
-        let plan = sa_sim::ShardPlan::new(requested, cpus, SimDuration::from_micros(15));
-        let n = plan.n_shards();
-        prop_assert!(n >= 1 && n <= cpus, "shard count {} outside [1, {}]", n, cpus);
-        prop_assert!(requested == 0 || n <= requested.max(1));
-        let mut sizes = vec![0u32; n as usize];
-        let mut prev = 0u32;
-        for c in 0..cpus as usize {
-            let s = plan.cpu_shard(c);
-            prop_assert!(s < n, "cpu {} homed to out-of-range shard {}", c, s);
-            prop_assert!(s >= prev, "cpu blocks not contiguous at cpu {}", c);
-            prev = s;
-            sizes[s as usize] += 1;
-        }
-        let (min, max) = (
-            *sizes.iter().min().expect("at least one shard"),
-            *sizes.iter().max().expect("at least one shard"),
-        );
-        prop_assert!(min >= 1, "an empty shard exists: {:?}", sizes);
-        prop_assert!(max - min <= 1, "unbalanced partition: {:?}", sizes);
-        prop_assert!(plan.space_shard(space) < n);
-        prop_assert_eq!(plan.space_shard(space), plan.space_shard(space));
-    }
-}
