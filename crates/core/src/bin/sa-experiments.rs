@@ -432,7 +432,9 @@ fn churn_cmd() -> Result<(), PanickedJob> {
     }
     if per_thread > CHURN_HOT_BYTES_PER_THREAD_LIMIT {
         eprintln!(
-            "churn: hot TCB footprint {per_thread:.0} B/thread exceeds the              {CHURN_HOT_BYTES_PER_THREAD_LIMIT:.0} B bound — per-thread state              has regressed toward boxed layouts"
+            "churn: hot TCB footprint {per_thread:.0} B/thread exceeds the \
+             {CHURN_HOT_BYTES_PER_THREAD_LIMIT:.0} B bound — per-thread state \
+             has regressed toward boxed layouts"
         );
         std::process::exit(1);
     }

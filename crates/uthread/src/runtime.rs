@@ -9,16 +9,25 @@
 //! ## Execution model
 //!
 //! The kernel drives each virtual processor by calling
-//! [`UserRuntime::poll`]; the runtime answers one action at a time. All
-//! deferred work lives in explicit continuation queues — per-thread
-//! (`Utcb::cont`) for operations a thread is in the middle of, and
-//! per-slot (`Slot::cont`) for runtime-level work (upcall processing,
-//! dispatch overhead). Because a preempted processor's continuations
-//! simply stay in those queues, the kernel's saved "machine state"
-//! (a [`SavedContext`]) plus these queues reconstruct the thread exactly,
-//! which is what makes Table 2's `Preempted`/`Unblocked` protocol work.
+//! [`UserRuntime::poll`]; the runtime answers one action at a time. An
+//! operation's leading segment is returned directly; what follows it is
+//! deferred work of two kinds:
 //!
-//! A design rule inherited from real hardware: every `Step` re-validates
+//! - **Per thread**, a fixed-size continuation in the TCB's cold row
+//!   (`UtCold::cont`): at most one typed step that completes the
+//!   operation (a `Finish*` step, a bounded spin's expiry, or a kernel
+//!   call), preceded by at most one segment remainder saved when the
+//!   kernel preempted the thread. It owns no heap memory.
+//! - **Per processor**, a reused queue (`Slot::cont`) of segments and
+//!   steps for runtime-level work: upcall processing, dispatch,
+//!   critical-section recovery.
+//!
+//! A preempted thread's continuation stays in its row, so the kernel's
+//! saved "machine state" (a [`SavedContext`]) plus that row reconstructs
+//! the thread exactly, which is what makes Table 2's
+//! `Preempted`/`Unblocked` protocol work.
+//!
+//! A design rule inherited from real hardware: every step re-validates
 //! its preconditions when it executes, because other processors run during
 //! the segment that precedes it.
 
@@ -26,7 +35,9 @@ use crate::config::{CriticalSectionMode, FtConfig, Substrate};
 use crate::ready::{ReadyPolicy, ReadyPolicySelect};
 use crate::stats::FtStats;
 use crate::sync::{HandOff, SpinPolicy, UCv, ULock};
-use crate::types::{cookie, seg, Awaiting, RtMicro, Slot, SpinCtx, Step, TcbStore, UtId, UtState};
+use crate::types::{
+    cookie, seg, Remainder, RtMicro, Slot, SlotStep, SpinCtx, TcbStore, ThreadStep, UtId, UtState,
+};
 use sa_kernel::upcall::{
     PollReason, RtEnv, SavedContext, Syscall, UpcallEvent, UserRuntime, VpAction, VpSeg, WorkKind,
 };
@@ -78,6 +89,9 @@ pub struct FastThreads {
     /// Reusable buffer for condition-variable broadcast wakeups; empty
     /// between calls.
     scratch_cv: Vec<(UtId, LockId)>,
+    /// Reusable buffer for the joiners an exiting thread wakes; empty
+    /// between calls.
+    scratch_joiners: Vec<UtId>,
     /// Lock table indexed by `LockId` (workload lock ids are small and
     /// dense; `None` marks ids never used). A direct-indexed table —
     /// the `HashMap` it replaces paid a hash per lock operation, which
@@ -166,6 +180,7 @@ impl FastThreads {
             scratch_cont: Vec::new(),
             scratch_tasks: Vec::new(),
             scratch_cv: Vec::new(),
+            scratch_joiners: Vec::new(),
             locks: Vec::new(),
             cvs: Vec::new(),
             boot_thread: None,
@@ -203,7 +218,7 @@ impl FastThreads {
     }
 
     /// Bytes resident in the whole TCB slab (hot + cold rows; excludes
-    /// heap owned by boxed bodies and continuation queues).
+    /// heap owned by boxed bodies and joiner lists).
     pub fn tcb_bytes(&self) -> usize {
         self.tcbs.bytes_resident()
     }
@@ -422,7 +437,6 @@ impl FastThreads {
             let s = &mut self.slots[idx];
             s.active_vp = None;
             s.spin = None;
-            s.awaiting = None;
             s.recovering = None;
             s.recovering_since = None;
             s.hysteresis_done = false;
@@ -458,8 +472,7 @@ impl FastThreads {
 
     // ---- Op interpretation --------------------------------------------
 
-    /// Steps the current thread's body and queues the micro-ops of its
-    /// next operation.
+    /// Steps the current thread's body and interprets its next operation.
     fn step_body(&mut self, slot: usize, t: UtId, env: &mut RtEnv<'_>) -> Option<VpSeg> {
         let last = std::mem::replace(&mut self.tcbs.cold[t.index()].next_result, OpResult::Done);
         let step_env = StepEnv {
@@ -476,93 +489,33 @@ impl FastThreads {
         self.interpret(slot, t, op, env)
     }
 
-    /// Queues the micro-ops implementing `op` for thread `t`.
-    /// Translates one thread operation into a leading segment (returned
-    /// for the caller to run immediately) plus follow-up steps queued on
-    /// the thread's continuation. Kernel-call ops queue everything and
-    /// return `None` (the syscall surfaces via the poll loop).
+    /// Translates one thread operation into its leading segment (returned
+    /// for the caller to run immediately) plus the step that completes it,
+    /// queued on the thread's continuation. A kernel call's leading
+    /// segment is the busy-count accounting, if any; with none, the call
+    /// surfaces straight from the poll loop and this returns `None`.
     fn interpret(&mut self, slot: usize, t: UtId, op: Op, env: &mut RtEnv<'_>) -> Option<VpSeg> {
         let cc = self.costs(env.cost);
         let fork_prio = match &op {
             Op::ForkPrio(_, prio) => Some(*prio),
             _ => None,
         };
-        match op {
+        let (d, step) = match op {
             Op::Compute(d) => {
                 let critical = self.tcbs.hot[t.index()].locks_held > 0;
-                let s = seg(d, WorkKind::UserWork, cookie::Tag::User, Some(t), critical);
-                self.tcbs.cold[t.index()]
-                    .cont
-                    .push_back(RtMicro::Step(Step::OpDone(OpResult::Done)));
-                return Some(s);
-            }
-            Op::Acquire(l) => {
-                let d = cc.acquire;
-                let s = seg(
+                return Some(seg(
                     d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
+                    WorkKind::UserWork,
+                    cookie::Tag::User,
                     Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishAcquire(l)));
-                return Some(s);
+                    critical,
+                ));
             }
-            Op::Release(l) => {
-                let d = cc.release;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishRelease(l)));
-                return Some(s);
-            }
-            Op::Wait { cv, lock } => {
-                let d = cc.cv_op;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishCvWait { cv, lock }));
-                return Some(s);
-            }
-            Op::Signal(cv) => {
-                let d = cc.cv_op;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishCvSignal(cv)));
-                q.push_back(RtMicro::Step(Step::OpDone(OpResult::Done)));
-                return Some(s);
-            }
-            Op::Broadcast(cv) => {
-                let d = cc.cv_op;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishCvBroadcast(cv)));
-                q.push_back(RtMicro::Step(Step::OpDone(OpResult::Done)));
-                return Some(s);
-            }
+            Op::Acquire(l) => (cc.acquire, ThreadStep::FinishAcquire(l)),
+            Op::Release(l) => (cc.release, ThreadStep::FinishRelease(l)),
+            Op::Wait { cv, lock } => (cc.cv_op, ThreadStep::FinishCvWait { cv, lock }),
+            Op::Signal(cv) => (cc.cv_op, ThreadStep::FinishCvSignal(cv)),
+            Op::Broadcast(cv) => (cc.cv_op, ThreadStep::FinishCvBroadcast(cv)),
             Op::Fork(body) | Op::ForkPrio(body, _) => {
                 self.stats.forks.inc();
                 let span = body.span_id();
@@ -579,116 +532,57 @@ impl FastThreads {
                 }
                 // TCB free list + init + ready-list push: two critical
                 // sections plus the scheduler-activation busy accounting.
-                let d = cc.fork;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishFork(child)));
-                q.push_back(RtMicro::Step(Step::OpDone(OpResult::Forked(
-                    child.as_ref(),
-                ))));
-                return Some(s);
+                (cc.fork, ThreadStep::FinishFork(child))
             }
-            Op::Join(r) => {
-                let target = UtId::from_ref(r);
-                let d = cc.join;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishJoin(target)));
-                return Some(s);
-            }
+            Op::Join(r) => (cc.join, ThreadStep::FinishJoin(UtId::from_ref(r))),
             Op::Exit => {
                 self.stats.exits.inc();
-                let d = cc.exit;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishExit));
-                return Some(s);
+                (cc.exit, ThreadStep::FinishExit)
             }
-            Op::Yield => {
-                let d = cc.enqueue;
-                let s = seg(
-                    d,
-                    WorkKind::RuntimeOverhead,
-                    cookie::Tag::RuntimeOp,
-                    Some(t),
-                    true,
-                );
-                let q = &mut self.tcbs.cold[t.index()].cont;
-                q.push_back(RtMicro::Step(Step::FinishYield));
-                return Some(s);
-            }
-            Op::Io(dur) => {
-                self.queue_thread_call(t, Syscall::Io { dur }, env);
-            }
-            Op::MemRead(page) => {
-                self.queue_thread_call(t, Syscall::MemRead { page }, env);
-            }
+            Op::Yield => (cc.enqueue, ThreadStep::FinishYield),
+            Op::Io(dur) => return self.thread_call(t, Syscall::Io { dur }, cc.acct),
+            Op::MemRead(page) => return self.thread_call(t, Syscall::MemRead { page }, cc.acct),
             Op::KernelSignal(chan) => {
-                self.queue_thread_call(t, Syscall::KernelSignal { chan }, env);
+                return self.thread_call(t, Syscall::KernelSignal { chan }, cc.acct)
             }
             Op::KernelWait(chan) => {
-                self.queue_thread_call(t, Syscall::KernelWait { chan }, env);
+                return self.thread_call(t, Syscall::KernelWait { chan }, cc.acct)
             }
-        }
-        None
+        };
+        self.tcbs.cold[t.index()].cont.set_step(step);
+        Some(seg(
+            d,
+            WorkKind::RuntimeOverhead,
+            cookie::Tag::RuntimeOp,
+            Some(t),
+            true,
+        ))
     }
 
-    /// Queues a kernel call on behalf of the current thread.
-    fn queue_thread_call(&mut self, t: UtId, call: Syscall, env: &mut RtEnv<'_>) {
-        let acct = self.costs(env.cost).acct;
-        let q = &mut self.tcbs.cold[t.index()].cont;
-        if !acct.is_zero() {
-            q.push_back(RtMicro::Seg(seg(
+    /// Queues a kernel call on behalf of the current thread, returning
+    /// the busy-count accounting segment that precedes it (scheduler
+    /// activations only).
+    fn thread_call(&mut self, t: UtId, call: Syscall, acct: SimDuration) -> Option<VpSeg> {
+        self.tcbs.cold[t.index()]
+            .cont
+            .set_step(ThreadStep::Call(call));
+        (!acct.is_zero()).then(|| {
+            seg(
                 acct,
                 WorkKind::RuntimeOverhead,
                 cookie::Tag::RuntimeOp,
                 Some(t),
                 false,
-            )));
-        }
-        q.push_back(RtMicro::Call(call));
-    }
-
-    /// Removes leftover spin segments/steps from the front of a thread's
-    /// continuation.
-    fn clear_spin_micros(&mut self, t: UtId) {
-        loop {
-            match self.tcbs.cold[t.index()].cont.front() {
-                Some(RtMicro::Seg(s)) if matches!(s.kind, WorkKind::SpinWait) => {
-                    self.tcbs.cold[t.index()].cont.pop_front();
-                }
-                Some(RtMicro::SpinFor(_)) | Some(RtMicro::Step(Step::SpinExpired(_))) => {
-                    self.tcbs.cold[t.index()].cont.pop_front();
-                }
-                _ => break,
-            }
-        }
+            )
+        })
     }
 
     // ---- Steps ---------------------------------------------------------
 
-    /// Applies one step; may push further micro-work.
-    fn apply_step(&mut self, slot: usize, st: Step, env: &mut RtEnv<'_>) {
+    /// Applies one processor-level step; may push further micro-work.
+    fn apply_slot_step(&mut self, slot: usize, st: SlotStep, env: &mut RtEnv<'_>) {
         match st {
-            Step::FinishDispatch(t) => {
+            SlotStep::FinishDispatch(t) => {
                 self.stats.dispatches.inc();
                 self.tcbs.hot[t.index()].needs_resume_check = false;
                 self.slots[slot].hysteresis_done = false;
@@ -705,39 +599,7 @@ impl FastThreads {
                     self.tcbs.hot[t.index()].state = UtState::Running;
                 }
             }
-            Step::OpDone(r) => {
-                let t = self.slots[slot].current.expect("OpDone without thread");
-                self.tcbs.cold[t.index()].next_result = r;
-            }
-            Step::FinishAcquire(l) => self.finish_acquire(slot, l, env),
-            Step::FinishRelease(l) => self.finish_release(slot, l, env),
-            Step::FinishCvWait { cv, lock } => self.finish_cv_wait(slot, cv, lock, env),
-            Step::FinishCvSignal(cv) => self.finish_cv_signal(slot, cv, env),
-            Step::FinishCvBroadcast(cv) => self.finish_cv_broadcast(slot, cv, env),
-            Step::FinishFork(child) => {
-                let t = self.slots[slot].current.expect("fork without thread");
-                debug_assert_ne!(child, t);
-                self.live += 1;
-                self.busy += 1;
-                self.ready_thread(slot, child, env);
-                self.note_busy_changed();
-            }
-            Step::FinishJoin(target) => self.finish_join(slot, target),
-            Step::FinishYield => {
-                let t = self.slots[slot]
-                    .current
-                    .take()
-                    .expect("yield without thread");
-                // A yielding thread goes to the *cold* end of the ready
-                // queue so every other runnable thread goes first.
-                self.tcbs.hot[t.index()].state = UtState::Ready;
-                self.tcbs.hot[t.index()].ready_since = Some(env.now);
-                self.ready.push_cold(slot, t);
-                self.kick_an_idler(env);
-            }
-            Step::FinishExit => self.finish_exit(slot, env),
-            Step::SpinExpired(l) => self.spin_expired(slot, l),
-            Step::StartRecovery(t) => {
+            SlotStep::StartRecovery(t) => {
                 self.stats.recoveries.inc();
                 // A dispatch migrated from the preempted processor may have
                 // loaded a thread already; the critical-section recovery
@@ -751,7 +613,7 @@ impl FastThreads {
                 self.slots[slot].current = Some(t);
                 self.tcbs.hot[t.index()].state = UtState::Running;
             }
-            Step::EndRecovery => {
+            SlotStep::EndRecovery => {
                 let Some(t) = self.slots[slot].recovering.take() else {
                     return; // recovery superseded by a second preemption
                 };
@@ -762,14 +624,64 @@ impl FastThreads {
                 self.slots[slot].current = None;
                 self.ready_thread(slot, t, env);
             }
-            Step::ReadyThread(t) => {
+            SlotStep::ReadyThread(t) => {
                 self.ready_thread(slot, t, env);
             }
         }
     }
 
-    fn finish_acquire(&mut self, slot: usize, l: LockId, env: &mut RtEnv<'_>) {
-        let _ = env; // the fast path makes no kernel requests
+    /// Applies the step completing the current thread `t`'s operation.
+    /// Returns the action that ends the poll, if the step starts a spin
+    /// or a kernel call; otherwise the poll loop carries on.
+    fn apply_thread_step(
+        &mut self,
+        slot: usize,
+        vp: VpId,
+        t: UtId,
+        st: ThreadStep,
+        env: &mut RtEnv<'_>,
+    ) -> Option<VpAction> {
+        debug_assert_eq!(self.slots[slot].current, Some(t));
+        match st {
+            ThreadStep::FinishAcquire(l) => return self.finish_acquire(slot, vp, l, env),
+            ThreadStep::FinishRelease(l) => self.finish_release(slot, l, env),
+            ThreadStep::FinishCvWait { cv, lock } => self.finish_cv_wait(slot, cv, lock, env),
+            ThreadStep::FinishCvSignal(cv) => self.finish_cv_signal(slot, cv, env),
+            ThreadStep::FinishCvBroadcast(cv) => self.finish_cv_broadcast(slot, cv, env),
+            ThreadStep::FinishFork(child) => {
+                debug_assert_ne!(child, t);
+                self.live += 1;
+                self.busy += 1;
+                self.ready_thread(slot, child, env);
+                self.note_busy_changed();
+                self.tcbs.cold[t.index()].next_result = OpResult::Forked(child.as_ref());
+            }
+            ThreadStep::FinishJoin(target) => self.finish_join(slot, target),
+            ThreadStep::FinishYield => {
+                self.slots[slot].current = None;
+                // A yielding thread goes to the *cold* end of the ready
+                // queue so every other runnable thread goes first.
+                self.tcbs.hot[t.index()].state = UtState::Ready;
+                self.tcbs.hot[t.index()].ready_since = Some(env.now);
+                self.ready.push_cold(slot, t);
+                self.kick_an_idler(env);
+            }
+            ThreadStep::FinishExit => self.finish_exit(slot, env),
+            ThreadStep::SpinExpired(l) => self.spin_expired(slot, l),
+            ThreadStep::Call(call) => return Some(VpAction::Syscall { call }),
+        }
+        None
+    }
+
+    /// Completes an acquire; a contended lock returns the spin that
+    /// starts waiting for it, unless the policy blocks at once.
+    fn finish_acquire(
+        &mut self,
+        slot: usize,
+        vp: VpId,
+        l: LockId,
+        env: &mut RtEnv<'_>,
+    ) -> Option<VpAction> {
         let t = self.slots[slot].current.expect("acquire without thread");
         let lock = Self::lock_slot(&mut self.locks, l);
         match lock.holder {
@@ -779,52 +691,47 @@ impl FastThreads {
                 self.tcbs.hot[t.index()].locks_held += 1;
                 self.tcbs.hot[t.index()].spinning_on = None;
                 self.tcbs.hot[t.index()].state = UtState::Running;
-                self.tcbs.cold[t.index()]
-                    .cont
-                    .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
             }
             Some(h) if h == t => {
                 // Handed off to us while we were spinning or blocked.
                 self.tcbs.hot[t.index()].locks_held += 1;
                 self.tcbs.hot[t.index()].spinning_on = None;
                 self.tcbs.hot[t.index()].state = UtState::Running;
-                self.tcbs.cold[t.index()]
-                    .cont
-                    .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
             }
             Some(_) => {
                 self.stats.lock_contended.inc();
-                match self.cfg.lock_policy {
-                    SpinPolicy::SpinForever => {
-                        lock.spinners.push_back((t, slot));
-                        self.tcbs.hot[t.index()].state = UtState::Spinning;
-                        self.tcbs.hot[t.index()].spinning_on = Some(l);
-                        self.tcbs.cold[t.index()]
-                            .cont
-                            .push_front(RtMicro::SpinFor(SpinCtx::Lock { t, lock: l }));
-                    }
-                    SpinPolicy::SpinThenBlock { spin } => {
-                        lock.spinners.push_back((t, slot));
-                        self.tcbs.hot[t.index()].state = UtState::Spinning;
-                        self.tcbs.hot[t.index()].spinning_on = Some(l);
-                        self.slots[slot].spin = Some(SpinCtx::Lock { t, lock: l });
-                        let s = seg(
-                            spin,
-                            WorkKind::SpinWait,
-                            cookie::Tag::SpinLock,
-                            Some(t),
-                            false,
-                        );
-                        let q = &mut self.tcbs.cold[t.index()].cont;
-                        q.push_front(RtMicro::Step(Step::SpinExpired(l)));
-                        q.push_front(RtMicro::Seg(s));
-                    }
-                    SpinPolicy::BlockImmediately => {
-                        self.block_on_lock(slot, t, l);
-                    }
+                if self.cfg.lock_policy == SpinPolicy::BlockImmediately {
+                    self.block_on_lock(slot, t, l);
+                    return None;
                 }
+                lock.spinners.push_back((t, slot));
+                self.tcbs.hot[t.index()].state = UtState::Spinning;
+                self.tcbs.hot[t.index()].spinning_on = Some(l);
+                self.slots[slot].spin = Some(SpinCtx::Lock { t, lock: l });
+                if let SpinPolicy::SpinThenBlock { spin } = self.cfg.lock_policy {
+                    self.tcbs.cold[t.index()]
+                        .cont
+                        .set_step(ThreadStep::SpinExpired(l));
+                    return Some(VpAction::Run(seg(
+                        spin,
+                        WorkKind::SpinWait,
+                        cookie::Tag::SpinLock,
+                        Some(t),
+                        false,
+                    )));
+                }
+                // Spin until a release kicks this processor or the kernel
+                // preempts it.
+                let space = env.space;
+                env.trace
+                    .event(env.now, || TraceEvent::SpinStart { space, vp: vp.0 });
+                return Some(VpAction::Spin {
+                    cookie: cookie::pack(cookie::Tag::SpinLock, Some(t), false),
+                    kind: WorkKind::SpinWait,
+                });
             }
         }
+        None
     }
 
     /// The bounded spin ran out: block at user level.
@@ -837,9 +744,6 @@ impl FastThreads {
             // Granted at the last moment; take it.
             self.tcbs.hot[t.index()].locks_held += 1;
             self.tcbs.hot[t.index()].state = UtState::Running;
-            self.tcbs.cold[t.index()]
-                .cont
-                .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
             return;
         }
         lock.remove_spinner(t);
@@ -881,14 +785,11 @@ impl FastThreads {
                 self.busy += 1;
                 self.tcbs.cold[w.index()]
                     .cont
-                    .push_front(RtMicro::Step(Step::FinishAcquire(l)));
+                    .set_step(ThreadStep::FinishAcquire(l));
                 self.ready_thread(slot, w, env);
                 self.note_busy_changed();
             }
         }
-        self.tcbs.cold[t.index()]
-            .cont
-            .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
     }
 
     fn finish_cv_wait(&mut self, slot: usize, cv: CvId, lock: LockId, env: &mut RtEnv<'_>) {
@@ -898,9 +799,6 @@ impl FastThreads {
             // Equivalent to an immediate (spurious) wakeup; the lock is
             // kept. Mesa-style users re-check their predicate.
             c.banked -= 1;
-            self.tcbs.cold[t.index()]
-                .cont
-                .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
             return;
         }
         c.waiters.push_back((t, lock));
@@ -914,7 +812,7 @@ impl FastThreads {
     }
 
     /// Lock release performed inside a cv wait (the waiter is already
-    /// blocked, so no OpDone is queued for it here).
+    /// blocked).
     fn release_for_wait(&mut self, slot: usize, t: UtId, l: LockId, env: &mut RtEnv<'_>) {
         {
             let held = &mut self.tcbs.hot[t.index()].locks_held;
@@ -938,7 +836,7 @@ impl FastThreads {
                 self.busy += 1;
                 self.tcbs.cold[w.index()]
                     .cont
-                    .push_front(RtMicro::Step(Step::FinishAcquire(l)));
+                    .set_step(ThreadStep::FinishAcquire(l));
                 self.ready_thread(slot, w, env);
                 self.note_busy_changed();
             }
@@ -982,9 +880,6 @@ impl FastThreads {
         }
         self.tcbs.hot[w.index()].needs_resume_check = true;
         self.busy += 1;
-        self.tcbs.cold[w.index()]
-            .cont
-            .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
         self.ready_thread(slot, w, env);
         self.note_busy_changed();
     }
@@ -998,9 +893,6 @@ impl FastThreads {
                 self.tcbs.cold[target.index()].body = None;
                 self.slots[slot].free_tcbs.push(target);
             }
-            self.tcbs.cold[t.index()]
-                .cont
-                .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
         } else {
             self.tcbs.cold[target.index()].joiners.push(t);
             self.tcbs.hot[t.index()].state = UtState::BlockedJoin(target);
@@ -1023,22 +915,24 @@ impl FastThreads {
         self.tcbs.cold[t.index()].body = None;
         self.live -= 1;
         self.busy -= 1;
-        let joiners = std::mem::take(&mut self.tcbs.cold[t.index()].joiners);
-        if joiners.is_empty() {
+        if self.tcbs.cold[t.index()].joiners.is_empty() {
             self.tcbs.hot[t.index()].state = UtState::Exited;
-        } else {
-            // Joined already: reap immediately.
-            self.tcbs.hot[t.index()].state = UtState::Free;
-            self.slots[slot].free_tcbs.push(t);
-            for j in joiners {
-                self.busy += 1;
-                self.tcbs.cold[j.index()]
-                    .cont
-                    .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
-                self.ready_thread(slot, j, env);
-            }
-            self.note_busy_changed();
+            return;
         }
+        // Joined already: reap immediately. The joiners are staged through
+        // a persistent scratch buffer, as in `finish_cv_broadcast`, so the
+        // row keeps its list's capacity for the next thread that reuses it.
+        self.tcbs.hot[t.index()].state = UtState::Free;
+        self.slots[slot].free_tcbs.push(t);
+        debug_assert!(self.scratch_joiners.is_empty());
+        let mut joiners = std::mem::take(&mut self.scratch_joiners);
+        joiners.append(&mut self.tcbs.cold[t.index()].joiners);
+        for j in joiners.drain(..) {
+            self.busy += 1;
+            self.ready_thread(slot, j, env);
+        }
+        self.scratch_joiners = joiners;
+        self.note_busy_changed();
     }
 
     // ---- Upcall event processing (scheduler activations) ---------------
@@ -1079,14 +973,11 @@ impl FastThreads {
                     if self.early_unblocks.remove(&seq) {
                         // The unblock notification overtook this event; the
                         // thread is already runnable again.
-                        self.tcbs.cold[t.index()]
-                            .cont
-                            .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
                         let d = self.costs(c).enqueue;
                         let sgm = seg(d, WorkKind::UpcallWork, cookie::Tag::Upcall, None, true);
                         let q = &mut self.slots[slot].cont;
                         q.push_back(RtMicro::Seg(sgm));
-                        q.push_back(RtMicro::Step(Step::ReadyThread(t)));
+                        q.push_back(RtMicro::Step(SlotStep::ReadyThread(t)));
                     } else {
                         self.tcbs.hot[t.index()].state = UtState::BlockedKernel;
                         self.busy -= 1;
@@ -1113,14 +1004,11 @@ impl FastThreads {
                 };
                 debug_assert_eq!(self.tcbs.hot[t.index()].state, UtState::BlockedKernel);
                 self.busy += 1;
-                self.tcbs.cold[t.index()]
-                    .cont
-                    .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
                 let d = self.costs(c).enqueue_acct;
                 let s = seg(d, WorkKind::UpcallWork, cookie::Tag::Upcall, None, true);
                 let q = &mut self.slots[slot].cont;
                 q.push_back(RtMicro::Seg(s));
-                q.push_back(RtMicro::Step(Step::ReadyThread(t)));
+                q.push_back(RtMicro::Step(SlotStep::ReadyThread(t)));
                 self.note_busy_changed();
             }
             UpcallEvent::Preempted { vp, saved, .. } => {
@@ -1168,10 +1056,7 @@ impl FastThreads {
                 if let Some(l) = self.lock_get_mut(lock) {
                     l.remove_spinner(t);
                 }
-                self.clear_spin_micros(t);
-                self.tcbs.cold[t.index()]
-                    .cont
-                    .push_front(RtMicro::Step(Step::FinishAcquire(lock)));
+                self.retry_acquire(t, lock);
                 self.tcbs.hot[t.index()].state = UtState::Preempted;
                 self.tcbs.hot[t.index()].needs_resume_check = true;
             }
@@ -1187,14 +1072,13 @@ impl FastThreads {
                     "preempted {t}'s saved user remainder belongs to {owner:?}"
                 );
                 if owner == Some(t) && !saved.remaining.is_zero() {
-                    let rem = seg(
-                        saved.remaining,
-                        saved.kind,
-                        cookie::Tag::User,
-                        Some(t),
-                        cookie::unpack(saved.cookie).2,
-                    );
-                    self.tcbs.cold[t.index()].cont.push_front(RtMicro::Seg(rem));
+                    let cont = &mut self.tcbs.cold[t.index()].cont;
+                    debug_assert!(cont.rem.is_none(), "{t} preempted twice without running");
+                    cont.rem = Some(Remainder {
+                        dur: saved.remaining,
+                        kind: saved.kind,
+                        critical: cookie::unpack(saved.cookie).2,
+                    });
                 }
             }
             other => {
@@ -1210,19 +1094,30 @@ impl FastThreads {
             let s = seg(d, WorkKind::UpcallWork, cookie::Tag::Upcall, None, false);
             let q = &mut self.slots[slot].cont;
             q.push_back(RtMicro::Seg(s));
-            q.push_back(RtMicro::Step(Step::StartRecovery(t)));
+            q.push_back(RtMicro::Step(SlotStep::StartRecovery(t)));
         } else {
             let d = self.costs(c).enqueue;
             let s = seg(d, WorkKind::UpcallWork, cookie::Tag::Upcall, None, true);
             let q = &mut self.slots[slot].cont;
             q.push_back(RtMicro::Seg(s));
-            q.push_back(RtMicro::Step(Step::ReadyThread(t)));
+            q.push_back(RtMicro::Step(SlotStep::ReadyThread(t)));
         }
+    }
+
+    /// Drops a spinner's pending spin expiry and re-queues its acquire: a
+    /// spinner's first action on resuming is always to re-read the lock
+    /// word (the releaser may have made it the holder).
+    fn retry_acquire(&mut self, t: UtId, lock: LockId) {
+        let cont = &mut self.tcbs.cold[t.index()].cont;
+        debug_assert!(
+            cont.rem.is_none() && matches!(cont.step, None | Some(ThreadStep::SpinExpired(_))),
+            "spinner {t} with pending {cont:?}"
+        );
+        cont.step = Some(ThreadStep::FinishAcquire(lock));
     }
 
     // ---- The fill decision --------------------------------------------
 
-    /// Decides what this processor does next when all queued micro-work is
     /// Services pending kernel notifications (Table 3 / recycling / §3.1
     /// priority preemption), guarded by `kernel_attention` so the hot
     /// path pays one flag check. Clears the flag once nothing is pending.
@@ -1233,7 +1128,6 @@ impl FastThreads {
                 // Don't interrupt ourselves; the high-priority thread will
                 // be picked by this slot's own next dispatch.
                 if self.slots[slot].active_vp != Some(vp) {
-                    self.slots[slot].awaiting = Some(Awaiting::Hint);
                     return Some(VpAction::Syscall {
                         call: Syscall::PreemptVp { vp },
                     });
@@ -1243,7 +1137,6 @@ impl FastThreads {
                 self.hint_due = false;
                 self.notified_want_more = true;
                 self.stats.hints.inc();
-                self.slots[slot].awaiting = Some(Awaiting::Hint);
                 let total = self.busy.min(self.cfg.max_processors);
                 return Some(VpAction::Syscall {
                     call: Syscall::SetDesiredProcessors { total },
@@ -1252,7 +1145,6 @@ impl FastThreads {
             if self.discard_backlog >= self.cfg.recycle_batch {
                 self.discard_backlog = 0;
                 self.stats.recycles.inc();
-                self.slots[slot].awaiting = Some(Awaiting::Hint);
                 return Some(VpAction::Syscall {
                     call: Syscall::RecycleActivations {
                         upto: self.notify_floor,
@@ -1264,6 +1156,7 @@ impl FastThreads {
         None
     }
 
+    /// Decides what this processor does next when all queued micro-work is
     /// exhausted. Pushes new micro-work and returns `None`, or returns a
     /// terminal action.
     fn fill(&mut self, slot: usize, env: &mut RtEnv<'_>) -> Option<VpAction> {
@@ -1293,7 +1186,7 @@ impl FastThreads {
                 let s = seg(d, WorkKind::UpcallWork, cookie::Tag::Upcall, None, false);
                 self.slots[slot]
                     .cont
-                    .push_back(RtMicro::Step(Step::EndRecovery));
+                    .push_back(RtMicro::Step(SlotStep::EndRecovery));
                 return Some(VpAction::Run(s));
             }
             return self.step_body(slot, r, env).map(VpAction::Run);
@@ -1340,7 +1233,7 @@ impl FastThreads {
             );
             self.slots[slot]
                 .cont
-                .push_back(RtMicro::Step(Step::FinishDispatch(t)));
+                .push_back(RtMicro::Step(SlotStep::FinishDispatch(t)));
             return Some(VpAction::Run(s));
         }
         // 5. Nothing runnable.
@@ -1365,7 +1258,6 @@ impl FastThreads {
             if !self.slots[slot].idle_hinted {
                 self.slots[slot].idle_hinted = true;
                 self.stats.hints.inc();
-                self.slots[slot].awaiting = Some(Awaiting::Hint);
                 return Some(VpAction::Syscall {
                     call: Syscall::ProcessorIdle,
                 });
@@ -1412,38 +1304,23 @@ impl UserRuntime for FastThreads {
     fn poll(&mut self, env: &mut RtEnv<'_>, vp: VpId, reason: PollReason) -> VpAction {
         let slot = self.bind_slot(vp);
         self.ensure_booted(slot, env);
-        match reason {
-            PollReason::Fresh | PollReason::SegDone => {}
-            PollReason::SyscallDone(_outcome) => match self.slots[slot].awaiting.take() {
-                Some(Awaiting::ThreadCall(t)) => {
-                    self.tcbs.cold[t.index()]
-                        .cont
-                        .push_front(RtMicro::Step(Step::OpDone(OpResult::Done)));
-                }
-                Some(Awaiting::Hint) | None => {}
-            },
-            PollReason::Kicked => {
-                let ctx = self.slots[slot].spin.take();
-                if ctx.is_some() {
-                    let space = env.space;
-                    env.trace
-                        .event(env.now, || TraceEvent::SpinStop { space, vp: vp.0 });
-                }
-                match ctx {
-                    Some(SpinCtx::Lock { t, lock }) => {
-                        // Drop the pending spin remainder, if any, and
-                        // re-run the acquire: the releaser made us holder.
-                        self.clear_spin_micros(t);
-                        let l = Self::lock_slot(&mut self.locks, lock);
-                        l.remove_spinner(t);
-                        self.tcbs.hot[t.index()].spinning_on = None;
-                        self.tcbs.hot[t.index()].state = UtState::Running;
-                        self.tcbs.cold[t.index()]
-                            .cont
-                            .push_front(RtMicro::Step(Step::FinishAcquire(lock)));
-                    }
-                    Some(SpinCtx::Idle) | None => {}
-                }
+        // Only a kick needs handling here. A finished kernel call needs no
+        // routing: the thread that made it is still loaded on this slot and
+        // simply runs its next operation.
+        if reason == PollReason::Kicked {
+            let ctx = self.slots[slot].spin.take();
+            if ctx.is_some() {
+                let space = env.space;
+                env.trace
+                    .event(env.now, || TraceEvent::SpinStop { space, vp: vp.0 });
+            }
+            if let Some(SpinCtx::Lock { t, lock }) = ctx {
+                // The releaser made us holder.
+                let l = Self::lock_slot(&mut self.locks, lock);
+                l.remove_spinner(t);
+                self.tcbs.hot[t.index()].spinning_on = None;
+                self.tcbs.hot[t.index()].state = UtState::Running;
+                self.retry_acquire(t, lock);
             }
         }
         // Main execution loop: slot-level work first (upcall processing and
@@ -1452,48 +1329,33 @@ impl UserRuntime for FastThreads {
         loop {
             guard += 1;
             assert!(guard < 100_000, "runtime livelock on slot {slot}");
-            let micro = if let Some(m) = self.slots[slot].cont.pop_front() {
-                Some(m)
-            } else if let Some(t) = self.slots[slot].current {
-                self.tcbs.cold[t.index()].cont.pop_front()
-            } else {
-                None
-            };
-            match micro {
-                Some(RtMicro::Seg(s)) => return VpAction::Run(s),
-                Some(RtMicro::Step(st)) => {
-                    self.apply_step(slot, st, env);
+            if let Some(m) = self.slots[slot].cont.pop_front() {
+                match m {
+                    RtMicro::Seg(s) => return VpAction::Run(s),
+                    RtMicro::Step(st) => self.apply_slot_step(slot, st, env),
                 }
-                Some(RtMicro::Call(call)) => {
-                    let t = self.slots[slot].current;
-                    if let Some(t) = t {
-                        self.slots[slot].awaiting = Some(Awaiting::ThreadCall(t));
-                    }
-                    return VpAction::Syscall { call };
+                continue;
+            }
+            if let Some(t) = self.slots[slot].current {
+                let cont = &mut self.tcbs.cold[t.index()].cont;
+                if let Some(rem) = cont.rem.take() {
+                    return VpAction::Run(seg(
+                        rem.dur,
+                        rem.kind,
+                        cookie::Tag::User,
+                        Some(t),
+                        rem.critical,
+                    ));
                 }
-                Some(RtMicro::SpinFor(ctx)) => {
-                    self.slots[slot].spin = Some(ctx);
-                    let kind = match ctx {
-                        SpinCtx::Lock { .. } => WorkKind::SpinWait,
-                        SpinCtx::Idle => WorkKind::IdleSpin,
-                    };
-                    let t = match ctx {
-                        SpinCtx::Lock { t, .. } => Some(t),
-                        SpinCtx::Idle => None,
-                    };
-                    let space = env.space;
-                    env.trace
-                        .event(env.now, || TraceEvent::SpinStart { space, vp: vp.0 });
-                    return VpAction::Spin {
-                        cookie: cookie::pack(cookie::Tag::SpinLock, t, false),
-                        kind,
-                    };
-                }
-                None => {
-                    if let Some(action) = self.fill(slot, env) {
+                if let Some(st) = cont.step.take() {
+                    if let Some(action) = self.apply_thread_step(slot, vp, t, st, env) {
                         return action;
                     }
+                    continue;
                 }
+            }
+            if let Some(action) = self.fill(slot, env) {
+                return action;
             }
         }
     }
@@ -1556,9 +1418,9 @@ impl UserRuntime for FastThreads {
         for (i, s) in self.slots.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "slot {i}: vp={:?} current={:?} ready={} cont={} tasks={} spin={:?} recovering={:?} awaiting={:?}",
+                "slot {i}: vp={:?} current={:?} ready={} cont={} tasks={} spin={:?} recovering={:?}",
                 s.active_vp, s.current, self.ready.len(i), s.cont.len(), s.tasks.len(),
-                s.spin, s.recovering, s.awaiting
+                s.spin, s.recovering
             );
         }
         let _ = writeln!(out, "ready totals: {}", self.ready.total());
@@ -1572,10 +1434,10 @@ impl UserRuntime for FastThreads {
             ) {
                 let _ = writeln!(
                     out,
-                    "  {}: {:?} cont={} locks={} spin_on={:?}",
+                    "  {}: {:?} cont={:?} locks={} spin_on={:?}",
                     UtId(i as u32),
                     t.state,
-                    self.tcbs.cold[i].cont.len(),
+                    self.tcbs.cold[i].cont,
                     t.locks_held,
                     t.spinning_on
                 );

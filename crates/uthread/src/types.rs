@@ -2,7 +2,7 @@
 
 use sa_kernel::upcall::{VpSeg, WorkKind};
 use sa_kernel::Syscall;
-use sa_machine::ids::{LockId, ThreadRef};
+use sa_machine::ids::{CvId, LockId, ThreadRef};
 use sa_machine::program::{OpResult, ThreadBody};
 use sa_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -67,55 +67,27 @@ pub enum UtState {
     Exited,
 }
 
-/// Deferred micro-work: a segment to charge, a step to apply, a kernel
-/// call to make, or an open-ended spin to enter.
+/// Deferred slot-level micro-work: a segment to charge or a step to
+/// apply.
 #[derive(Debug)]
 pub(crate) enum RtMicro {
     /// Charge this segment (the kernel runs it on the VP).
     Seg(VpSeg),
     /// Apply this state transition.
-    Step(Step),
-    /// Trap into the kernel.
-    Call(KernelCall),
-    /// Spin until kicked or preempted.
-    SpinFor(SpinCtx),
+    Step(SlotStep),
 }
 
 /// Instantaneous runtime state transitions, applied between segments.
 ///
 /// Each one re-validates its preconditions when it runs, because other
 /// virtual processors execute during the preceding segment (exactly the
-/// interleaving a real test-and-set path faces).
+/// interleaving a real test-and-set path faces). A [`SlotStep`] belongs
+/// to the processor (dispatch, upcall processing); a [`ThreadStep`] to
+/// the operation its thread is in the middle of.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Step {
+pub(crate) enum SlotStep {
     /// Finish the dispatch of a thread onto this VP.
     FinishDispatch(UtId),
-    /// The previous op completed; record its result so the next body step
-    /// sees it.
-    OpDone(OpResult),
-    /// Try to complete a user-lock acquire (fast path charged already).
-    FinishAcquire(LockId),
-    /// Complete a user-lock release (hand off to spinners/waiters).
-    FinishRelease(LockId),
-    /// Complete a cv wait: enqueue and block, or consume a banked signal.
-    FinishCvWait {
-        cv: sa_machine::ids::CvId,
-        lock: LockId,
-    },
-    /// Complete a cv signal.
-    FinishCvSignal(sa_machine::ids::CvId),
-    /// Complete a cv broadcast.
-    FinishCvBroadcast(sa_machine::ids::CvId),
-    /// Complete a fork: TCB already allocated; enqueue the child.
-    FinishFork(UtId),
-    /// Complete a join: continue if the target exited, else block.
-    FinishJoin(UtId),
-    /// Complete a yield: requeue self.
-    FinishYield,
-    /// Complete thread exit: free TCB, wake joiners.
-    FinishExit,
-    /// The bounded spin expired without the lock being granted; block.
-    SpinExpired(LockId),
     /// Begin continuing a preempted thread through its critical section.
     StartRecovery(UtId),
     /// The recovered thread finished its critical section; switch back to
@@ -125,6 +97,72 @@ pub(crate) enum Step {
     ReadyThread(UtId),
 }
 
+/// The step that completes a thread's current operation once its leading
+/// segment has run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ThreadStep {
+    /// Try to complete a user-lock acquire (fast path charged already).
+    FinishAcquire(LockId),
+    /// Complete a user-lock release (hand off to spinners/waiters).
+    FinishRelease(LockId),
+    /// Complete a cv wait: enqueue and block, or consume a banked signal.
+    FinishCvWait { cv: CvId, lock: LockId },
+    /// Complete a cv signal.
+    FinishCvSignal(CvId),
+    /// Complete a cv broadcast.
+    FinishCvBroadcast(CvId),
+    /// Complete a fork: TCB already allocated; enqueue the child and
+    /// hand its handle to the parent's next step.
+    FinishFork(UtId),
+    /// Complete a join: continue if the target exited, else block.
+    FinishJoin(UtId),
+    /// Complete a yield: requeue self.
+    FinishYield,
+    /// Complete thread exit: free TCB, wake joiners.
+    FinishExit,
+    /// The bounded spin expired without the lock being granted; block.
+    SpinExpired(LockId),
+    /// Trap into the kernel (only the thread calls: I/O, page touch,
+    /// kernel channel signal or wait).
+    Call(Syscall),
+}
+
+/// The unfinished part of a segment the kernel preempted: charged again,
+/// as user-tagged work of the same kind, when the thread next runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Remainder {
+    pub dur: SimDuration,
+    pub kind: WorkKind,
+    /// The interrupted segment was inside a critical section.
+    pub critical: bool,
+}
+
+/// A thread's saved continuation: what it still has to run for its
+/// current operation. The remainder, if any, runs first, then the step.
+/// Every operation's follow-up is at most one step, and a preemption
+/// adds at most one remainder in front of it, so the continuation is a
+/// fixed-size value in the cold row rather than a heap queue.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ThreadCont {
+    /// Preemption-saved remainder of the interrupted segment.
+    pub rem: Option<Remainder>,
+    /// The step completing the current operation.
+    pub step: Option<ThreadStep>,
+}
+
+impl ThreadCont {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rem.is_none() && self.step.is_none()
+    }
+
+    /// Queues the step completing the current operation; the thread has
+    /// nothing else pending.
+    pub(crate) fn set_step(&mut self, st: ThreadStep) {
+        debug_assert!(self.is_empty(), "step {st:?} queued over {self:?}");
+        self.step = Some(st);
+    }
+}
+
 /// What a VP is spinning on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SpinCtx {
@@ -132,15 +170,6 @@ pub(crate) enum SpinCtx {
     Lock { t: UtId, lock: LockId },
     /// The idle loop.
     Idle,
-}
-
-/// What syscall outcome the VP expects next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Awaiting {
-    /// The current thread's blocking/returning kernel call.
-    ThreadCall(UtId),
-    /// A processor-allocation hint or recycle call (no thread involved).
-    Hint,
 }
 
 /// The hot half of a user-level thread control block: the words the
@@ -167,14 +196,14 @@ pub(crate) struct UtHot {
 }
 
 /// The cold half: the body box, saved continuation, and join bookkeeping
-/// — touched only when this thread itself runs or exits.
+/// — touched only when this thread itself runs or exits. Only `body` and
+/// `joiners` own heap memory.
 pub(crate) struct UtCold {
     pub body: Option<Box<dyn ThreadBody>>,
     /// Result the next body step will observe.
     pub next_result: OpResult,
-    /// Saved continuation: segments/steps still to run for the current op
-    /// (includes the preemption-saved remainder at its front).
-    pub cont: VecDeque<RtMicro>,
+    /// Saved continuation: what is still to run for the current op.
+    pub cont: ThreadCont,
     /// Threads joined on this one.
     pub joiners: Vec<UtId>,
 }
@@ -188,6 +217,12 @@ pub(crate) struct TcbStore {
     pub hot: sa_sim::PagedVec<UtHot, 4096>,
     pub cold: sa_sim::PagedVec<UtCold, 1024>,
 }
+
+// The row sizes are pinned: the churn run reports the slabs' resident
+// bytes, and perfbench's committed `churn` digest covers that line, so a
+// layout change must fail the build rather than the benchmark.
+const _: () = assert!(core::mem::size_of::<UtHot>() == 40);
+const _: () = assert!(core::mem::size_of::<UtCold>() == 88);
 
 impl TcbStore {
     pub(crate) fn len(&self) -> usize {
@@ -208,7 +243,7 @@ impl TcbStore {
         let cold_row = self.cold.push(UtCold {
             body: None,
             next_result: OpResult::Start,
-            cont: VecDeque::new(),
+            cont: ThreadCont::default(),
             joiners: Vec::new(),
         });
         debug_assert_eq!(row, cold_row);
@@ -229,7 +264,7 @@ impl TcbStore {
         let c = &mut self.cold[id.index()];
         c.body = Some(body);
         c.next_result = OpResult::Start;
-        c.cont.clear();
+        c.cont = ThreadCont::default();
         c.joiners.clear();
     }
 
@@ -239,7 +274,8 @@ impl TcbStore {
         self.hot.bytes_resident()
     }
 
-    /// Resident bytes of both slabs (excluding boxed bodies/continuations).
+    /// Resident bytes of both slabs (excluding boxed bodies and joiner
+    /// lists).
     pub(crate) fn bytes_resident(&self) -> usize {
         self.hot.bytes_resident() + self.cold.bytes_resident()
     }
@@ -314,8 +350,6 @@ pub(crate) struct Slot {
     pub tasks: VecDeque<sa_kernel::UpcallEvent>,
     /// What the VP is spinning on, if spinning.
     pub spin: Option<SpinCtx>,
-    /// Outcome routing for an in-flight syscall.
-    pub awaiting: Option<Awaiting>,
     /// Thread being continued through its critical section (§3.3).
     pub recovering: Option<UtId>,
     /// When the current recovery started (for the recovery-time histogram).
@@ -335,7 +369,6 @@ impl Slot {
             cont: VecDeque::new(),
             tasks: VecDeque::new(),
             spin: None,
-            awaiting: None,
             recovering: None,
             recovering_since: None,
             hysteresis_done: false,
@@ -358,9 +391,6 @@ pub(crate) fn seg(
         kind,
     }
 }
-
-/// Convenience alias used throughout the runtime.
-pub(crate) type KernelCall = Syscall;
 
 #[cfg(test)]
 mod tests {

@@ -5,14 +5,14 @@
 
 use sa_kernel::upcall::{
     PollReason, RtEnv, SavedContext, Syscall, SyscallOutcome, UpcallEvent, UserRuntime, VpAction,
-    WorkKind,
+    VpSeg, WorkKind,
 };
 use sa_kernel::VpId;
 use sa_machine::program::{FnBody, Op, ScriptBody};
 use sa_machine::{ComputeBody, CostModel, CvId, LockId};
 use sa_sim::{SimDuration, SimTime, Trace};
 use sa_uthread::{CriticalSectionMode, FastThreads, FtConfig, SpinPolicy};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A miniature driver: advances one VP at a time, accumulating virtual
@@ -22,6 +22,8 @@ struct Driver {
     cost: CostModel,
     trace: Trace,
     now: SimTime,
+    /// Kinds of the segments `drain` ran, in order.
+    kinds: Vec<WorkKind>,
 }
 
 impl Driver {
@@ -33,12 +35,38 @@ impl Driver {
             cost: CostModel::firefly_prototype(),
             trace: Trace::disabled(),
             now: SimTime::ZERO,
+            kinds: Vec::new(),
         }
     }
 
     fn poll(&mut self, vp: u32, reason: PollReason) -> VpAction {
+        self.poll_kicks(vp, reason).0
+    }
+
+    /// Polls once, also returning the processors the runtime kicked.
+    fn poll_kicks(&mut self, vp: u32, reason: PollReason) -> (VpAction, Vec<VpId>) {
         let mut env = RtEnv::new(self.now, &self.cost, 0, &mut self.trace);
-        self.rt.poll(&mut env, VpId(vp), reason)
+        let action = self.rt.poll(&mut env, VpId(vp), reason);
+        (action, env.take_kicks())
+    }
+
+    /// Runs VP `vp` (acknowledging allocation hints) until it returns a
+    /// segment `stop` accepts, without running that segment.
+    fn run_to(&mut self, vp: u32, mut reason: PollReason, stop: impl Fn(&VpSeg) -> bool) -> VpSeg {
+        for _ in 0..10_000 {
+            match self.poll(vp, reason) {
+                VpAction::Run(seg) if stop(&seg) => return seg,
+                VpAction::Run(seg) => {
+                    self.now += seg.dur;
+                    reason = PollReason::SegDone;
+                }
+                VpAction::Syscall {
+                    call: Syscall::SetDesiredProcessors { .. },
+                } => reason = PollReason::SyscallDone(SyscallOutcome::Ok),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        panic!("runtime never produced the awaited segment");
     }
 
     fn deliver(&mut self, vp: u32, events: &[UpcallEvent]) {
@@ -48,14 +76,15 @@ impl Driver {
 
     /// Runs VP `vp` until it returns something other than `Run` or a
     /// processor-allocation hint (hints are acknowledged, as the kernel
-    /// would), accumulating time. Returns the terminal action and elapsed
-    /// time.
+    /// would), accumulating time and logging every segment's kind.
+    /// Returns the terminal action and elapsed time.
     fn drain(&mut self, vp: u32, mut reason: PollReason) -> (VpAction, SimDuration) {
         let mut elapsed = SimDuration::ZERO;
         for _ in 0..10_000 {
             match self.poll(vp, reason) {
                 VpAction::Run(seg) => {
                     assert_ne!(seg.dur, SimDuration::MAX, "unexpected unbounded run");
+                    self.kinds.push(seg.kind);
                     elapsed += seg.dur;
                     self.now += seg.dur;
                     reason = PollReason::SegDone;
@@ -489,4 +518,257 @@ fn explicit_flag_mode_charges_more_per_op() {
         flagged > zero,
         "explicit flag {flagged} not slower than zero-overhead {zero}"
     );
+}
+
+/// A main thread that takes `lock`, forks a child that wants it too,
+/// computes 100 µs holding it, releases it and exits. The child takes the
+/// lock, computes 5 µs and releases it.
+fn lock_holder_and_contender(lock: LockId) -> Box<dyn sa_machine::program::ThreadBody> {
+    let mut st = 0;
+    Box::new(FnBody::new("holder", move |_| {
+        st += 1;
+        match st {
+            1 => Op::Acquire(lock),
+            2 => Op::Fork(Box::new(ScriptBody::new(
+                "contender",
+                vec![
+                    Op::Acquire(lock),
+                    Op::Compute(SimDuration::from_micros(5)),
+                    Op::Release(lock),
+                ],
+            ))),
+            3 => Op::Compute(SimDuration::from_micros(100)),
+            4 => Op::Release(lock),
+            _ => Op::Exit,
+        }
+    }))
+}
+
+/// Boots [`lock_holder_and_contender`] under `SpinForever` and runs it
+/// until the contender spins on processor 1 while the holder computes on
+/// processor 0. Returns the harness and the spin's cookie.
+fn spin_forever_contender_spinning(lock: LockId) -> (Driver, u64) {
+    let mut cfg = sa_cfg();
+    cfg.lock_policy = SpinPolicy::SpinForever;
+    let mut d = Driver::new(cfg, lock_holder_and_contender(lock));
+    d.deliver(0, &[UpcallEvent::AddProcessor { decision: 0 }]);
+    d.run_to(0, PollReason::Fresh, |s| {
+        s.dur == SimDuration::from_micros(100)
+    });
+    // A second processor steals the contender, which finds the lock held.
+    d.deliver(1, &[UpcallEvent::AddProcessor { decision: 0 }]);
+    let (spin, _) = d.drain(1, PollReason::Fresh);
+    let VpAction::Spin {
+        cookie,
+        kind: WorkKind::SpinWait,
+    } = spin
+    else {
+        panic!("contender did not spin: {spin:?}");
+    };
+    assert_eq!(d.rt.stats.lock_contended.get(), 1);
+    (d, cookie)
+}
+
+#[test]
+fn spin_forever_spinner_is_kicked_by_release_and_takes_the_lock() {
+    let (mut d, _) = spin_forever_contender_spinning(LockId(5));
+    // The holder's compute ends; its release hands the lock to the spinner
+    // and kicks the spinner's processor.
+    d.now += SimDuration::from_micros(100);
+    let release = d.run_to(0, PollReason::SegDone, |_| true);
+    d.now += release.dur;
+    let (after, kicks) = d.poll_kicks(0, PollReason::SegDone);
+    assert_eq!(kicks, vec![VpId(1)], "release did not kick the spinner");
+    assert!(matches!(after, VpAction::Run(_)), "{after:?}");
+    // Kicked, the spinner owns the lock and runs its critical section.
+    let next = d.poll(1, PollReason::Kicked);
+    let VpAction::Run(cs) = next else {
+        panic!("kicked spinner did not run: {next:?}");
+    };
+    assert_eq!(cs.kind, WorkKind::UserWork);
+    assert_eq!(cs.dur, SimDuration::from_micros(5));
+    assert_eq!(
+        d.rt.stats.lock_fast.get(),
+        1,
+        "the handoff is not a fast acquire"
+    );
+    assert_eq!(d.rt.stats.spin_blocks.get(), 0);
+    // The holder exits and processor 0 idles; the spinner finishes.
+    let (idle, _) = d.drain(0, PollReason::SegDone);
+    assert!(matches!(idle, VpAction::Spin { .. }), "{idle:?}");
+    d.now += cs.dur;
+    let (end, _) = d.drain(1, PollReason::SegDone);
+    assert!(matches!(end, VpAction::GiveUp), "{end:?}");
+    assert!(d.rt.quiescent());
+}
+
+#[test]
+fn spin_forever_spinner_preempted_mid_spin_retries_the_acquire() {
+    let lock = LockId(5);
+    let (mut d, cookie) = spin_forever_contender_spinning(lock);
+    // The kernel takes processor 1 mid-spin; activation 2 is told.
+    d.now += SimDuration::from_micros(20);
+    let saved = SavedContext {
+        cookie,
+        remaining: SimDuration::ZERO,
+        kind: WorkKind::SpinWait,
+    };
+    d.deliver(
+        2,
+        &[UpcallEvent::Preempted {
+            vp: VpId(1),
+            saved,
+            seq: 1,
+            decision: 0,
+        }],
+    );
+    let requeue = d.run_to(2, PollReason::Fresh, |_| true);
+    assert_eq!(requeue.kind, WorkKind::UpcallWork);
+    // The holder releases while the contender is off its processor: no
+    // spinner is left to hand the lock to, so it is simply freed.
+    d.now += SimDuration::from_micros(80);
+    let release = d.run_to(0, PollReason::SegDone, |_| true);
+    d.now += release.dur;
+    let (_, kicks) = d.poll_kicks(0, PollReason::SegDone);
+    assert!(kicks.is_empty(), "release kicked {kicks:?}");
+    // Re-dispatched, the contender's first action is a fresh acquire,
+    // which now succeeds on the fast path: no spin expiry or spin segment
+    // survived the preemption.
+    d.now += requeue.dur;
+    let cs = d.run_to(2, PollReason::SegDone, |s| {
+        s.kind != WorkKind::RuntimeOverhead
+    });
+    assert_eq!(cs.kind, WorkKind::UserWork);
+    assert_eq!(cs.dur, SimDuration::from_micros(5));
+    assert_eq!(d.rt.stats.lock_fast.get(), 2);
+    assert_eq!(d.rt.stats.lock_contended.get(), 1);
+    assert_eq!(d.rt.stats.preemptions_seen.get(), 1);
+    let dump = d.rt.debug_dump();
+    assert!(!dump.contains("spin=Some"), "{dump}");
+    assert!(dump.contains("spinners=0"), "{dump}");
+    let (idle, _) = d.drain(0, PollReason::SegDone);
+    assert!(matches!(idle, VpAction::Spin { .. }), "{idle:?}");
+    d.now += cs.dur;
+    let (end, _) = d.drain(2, PollReason::SegDone);
+    assert!(matches!(end, VpAction::GiveUp), "{end:?}");
+    assert!(d.rt.quiescent());
+}
+
+#[test]
+fn block_immediately_waiter_blocks_at_user_level_and_retries() {
+    let lock = LockId(5);
+    let mut st = 0;
+    let main = FnBody::new("m", move |_| {
+        st += 1;
+        match st {
+            1 => Op::Acquire(lock),
+            2 => Op::Fork(Box::new(ScriptBody::new(
+                "w",
+                vec![
+                    Op::Acquire(lock),
+                    Op::Compute(SimDuration::from_micros(5)),
+                    Op::Release(lock),
+                ],
+            ))),
+            3 => Op::Yield, // let the child hit the held lock
+            4 => Op::Release(lock),
+            _ => Op::Exit,
+        }
+    });
+    let mut cfg = sa_cfg();
+    cfg.lock_policy = SpinPolicy::BlockImmediately;
+    let mut d = Driver::new(cfg, Box::new(main));
+    d.deliver(0, &[UpcallEvent::AddProcessor { decision: 0 }]);
+    let (end, _) = d.drain(0, PollReason::Fresh);
+    // No spin and no kernel call: the child blocked at user level, the
+    // release woke it, and its retried acquire took the free lock.
+    assert!(matches!(end, VpAction::GiveUp), "{end:?}");
+    assert!(!d.kinds.contains(&WorkKind::SpinWait), "{:?}", d.kinds);
+    assert_eq!(d.rt.stats.lock_contended.get(), 1);
+    assert_eq!(d.rt.stats.spin_blocks.get(), 0);
+    assert_eq!(
+        d.rt.stats.lock_fast.get(),
+        2,
+        "the retry missed the fast path"
+    );
+    assert!(d.rt.quiescent());
+}
+
+#[test]
+fn preempted_signal_runs_its_saved_remainder_before_the_wakeup() {
+    let cv = CvId(3);
+    let signalled = Rc::new(Cell::new(false));
+    let mut st = 0;
+    let main = FnBody::new("m", {
+        let signalled = Rc::clone(&signalled);
+        move |_| {
+            st += 1;
+            match st {
+                1 => Op::Fork(Box::new(ScriptBody::new(
+                    "waiter",
+                    vec![Op::Wait {
+                        cv,
+                        lock: LockId::NONE,
+                    }],
+                ))),
+                2 => Op::Yield, // the waiter blocks on the cv
+                3 => {
+                    signalled.set(true);
+                    Op::Signal(cv)
+                }
+                _ => Op::Exit,
+            }
+        }
+    });
+    let mut d = Driver::new(sa_cfg(), Box::new(main));
+    d.deliver(0, &[UpcallEvent::AddProcessor { decision: 0 }]);
+    let sig = d.run_to(0, PollReason::Fresh, |_| signalled.get());
+    assert_eq!(sig.kind, WorkKind::RuntimeOverhead);
+    // Processor 1 arrives with nothing to run and spins in the idle loop.
+    d.deliver(1, &[UpcallEvent::AddProcessor { decision: 0 }]);
+    let idle = d.poll(1, PollReason::Fresh);
+    assert!(
+        matches!(idle, VpAction::Run(s) if s.kind == WorkKind::IdleSpin),
+        "{idle:?}"
+    );
+    // The kernel preempts processor 0 halfway through the signal (inside
+    // the runtime's critical section); activation 2 recovers the thread.
+    let remaining = SimDuration::from_nanos(sig.dur.as_nanos() / 2);
+    d.now += sig.dur - remaining;
+    let saved = SavedContext {
+        cookie: sig.cookie,
+        remaining,
+        kind: WorkKind::RuntimeOverhead,
+    };
+    d.deliver(
+        2,
+        &[UpcallEvent::Preempted {
+            vp: VpId(0),
+            saved,
+            seq: 1,
+            decision: 0,
+        }],
+    );
+    let (switch, kicks) = d.poll_kicks(2, PollReason::Fresh);
+    assert!(matches!(switch, VpAction::Run(s) if s.kind == WorkKind::UpcallWork));
+    assert!(kicks.is_empty());
+    // First the rest of the interrupted segment...
+    let (rem, kicks) = d.poll_kicks(2, PollReason::SegDone);
+    let VpAction::Run(rem) = rem else {
+        panic!("expected the saved remainder, got {rem:?}");
+    };
+    assert_eq!((rem.dur, rem.kind), (remaining, WorkKind::RuntimeOverhead));
+    assert!(kicks.is_empty(), "the waiter woke before the remainder ran");
+    // ...then the signal's step, which wakes the waiter and kicks the idle
+    // processor.
+    d.now += rem.dur;
+    let (back, kicks) = d.poll_kicks(2, PollReason::SegDone);
+    assert!(matches!(back, VpAction::Run(s) if s.kind == WorkKind::UpcallWork));
+    assert_eq!(kicks, vec![VpId(1)]);
+    assert_eq!(d.rt.stats.recoveries.get(), 1);
+    let (end, _) = d.drain(2, PollReason::SegDone);
+    assert!(matches!(end, VpAction::GiveUp), "{end:?}");
+    let (end, _) = d.drain(1, PollReason::Kicked);
+    assert!(matches!(end, VpAction::GiveUp), "{end:?}");
+    assert!(d.rt.quiescent());
 }
