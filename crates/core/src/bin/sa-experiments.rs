@@ -69,7 +69,7 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
     ),
     (
         "audit",
-        "audit <profile> [--alloc=P] [--ready=P] [--requests N] [--out F] \
+        "audit <profile> [--alloc=P] [--ready=P] [--requests N] [--spaces N] [--out F] \
          [--format table|csv|perfetto]",
     ),
     ("all", "every table and figure above"),
@@ -1028,9 +1028,10 @@ fn audit_cmd(
     format: &str,
     out: Option<&str>,
     requests: Option<usize>,
+    spaces: Option<u32>,
     policies: PolicyConfig,
 ) -> Result<(), PanickedJob> {
-    let Some(p) = slo::find(profile) else {
+    let Some(mut p) = slo::find(profile) else {
         let names: Vec<&str> = slo::profiles().iter().map(|p| p.name).collect();
         eprintln!(
             "sa-experiments: unknown SLO profile '{profile}' (expected {})",
@@ -1038,6 +1039,9 @@ fn audit_cmd(
         );
         std::process::exit(2);
     };
+    if let Some(n) = spaces {
+        p.cfg.fan_spaces(n);
+    }
     let report = run_audit(&p, policies, requests);
     let output = match format {
         "table" => render_audit_table(&report),
@@ -1083,7 +1087,7 @@ fn usage() -> String {
          \u{20}      sa-experiments slo <profile> [--requests N] [--spaces N] [--out FILE] \
          [--format table|csv|perfetto]\n\
          \u{20}      sa-experiments audit <profile> [--alloc=P] [--ready=P] [--requests N] \
-         [--out FILE] [--format table|csv|perfetto]\n\
+         [--spaces N] [--out FILE] [--format table|csv|perfetto]\n\
          \u{20}      sa-experiments slo --list\n\
          \n\
          --jobs N     run sweep cells on N host threads (default: host cores,\n\
@@ -1111,7 +1115,8 @@ struct Options {
     format: Option<String>,
     /// Request-count override for the `slo` subcommand.
     requests: Option<usize>,
-    /// Address-space fan-out override for the `slo` subcommand.
+    /// Address-space fan-out override for the `slo` and `audit`
+    /// subcommands.
     spaces: Option<u32>,
     /// Policy pair for the `run` and `slo` subcommands.
     policies: PolicyConfig,
@@ -1229,8 +1234,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
     if requests.is_some() && !matches!(cmd.as_deref(), Some("slo") | Some("audit")) {
         return Err("--requests only applies to the 'slo' and 'audit' subcommands".to_string());
     }
-    if spaces.is_some() && cmd.as_deref() != Some("slo") {
-        return Err("--spaces only applies to the 'slo' subcommand".to_string());
+    if spaces.is_some() && !matches!(cmd.as_deref(), Some("slo") | Some("audit")) {
+        return Err("--spaces only applies to the 'slo' and 'audit' subcommands".to_string());
     }
     if cmd.as_deref() == Some("run") && arg2.is_none() {
         return Err("run requires a scenario name ('run --list' lists them)".to_string());
@@ -1318,6 +1323,7 @@ fn run(opts: &Options) -> Result<(), PanickedJob> {
             opts.format.as_deref().unwrap_or("table"),
             opts.out.as_deref(),
             opts.requests,
+            opts.spaces,
             opts.policies,
         ),
         "all" => {

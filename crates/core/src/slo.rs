@@ -222,7 +222,7 @@ fn run_cell(
         .alloc_policy(policies.alloc)
         .daemons(DaemonSpec::topaz_default_set())
         .windowed_metrics(window)
-        .decision_audit(true);
+        .dwell_ledger(true);
     for shard in 0..cfg.shards {
         let body = shard_listener(cfg, shard, Rc::clone(&book));
         let mut app = AppSpec::new(format!("slo{shard}"), api.clone(), body);
@@ -251,7 +251,7 @@ fn run_cell(
     // Dwell conservation on every run: per-CPU assignment episodes must
     // partition the makespan exactly (see sa_sim::DwellLedger).
     sys.dwell_ledger()
-        .expect("decision audit was enabled")
+        .expect("dwell ledger was enabled")
         .verify(makespan)
         .unwrap_or_else(|e| panic!("{system}: dwell ledger: {e}"));
 

@@ -94,6 +94,7 @@ pub struct SystemBuilder {
     trace: Option<Trace>,
     windowed: Option<SimDuration>,
     decision_audit: bool,
+    dwell_ledger: bool,
     apps: Vec<AppSpec>,
 }
 
@@ -115,6 +116,7 @@ impl SystemBuilder {
             trace: None,
             windowed: None,
             decision_audit: false,
+            dwell_ledger: false,
             apps: Vec::new(),
         }
     }
@@ -190,11 +192,20 @@ impl SystemBuilder {
     /// Turns on allocator decision provenance: the kernel keeps typed
     /// [`sa_kernel::AllocDecision`] records at its three allocation choke
     /// points plus grant-latency causal chains, and a
-    /// [`sa_sim::DwellLedger`] of per-CPU assignment episodes. Off by
-    /// default — decision *ids* are stamped onto upcalls either way (one
-    /// counter increment), only record-keeping is gated here.
+    /// [`sa_sim::DwellLedger`] of per-CPU assignment episodes (so this
+    /// implies [`SystemBuilder::dwell_ledger`]). Off by default —
+    /// decision *ids* are stamped onto upcalls either way (one counter
+    /// increment), only record-keeping is gated here.
     pub fn decision_audit(mut self, on: bool) -> Self {
         self.decision_audit = on;
+        self
+    }
+
+    /// Turns on the [`sa_sim::DwellLedger`] of per-CPU assignment
+    /// episodes alone, without the decision log: enough to verify dwell
+    /// conservation, at a fraction of the log's memory. Off by default.
+    pub fn dwell_ledger(mut self, on: bool) -> Self {
+        self.dwell_ledger = on;
         self
     }
 
@@ -249,6 +260,8 @@ impl SystemBuilder {
         }
         if self.decision_audit {
             kernel.enable_decision_log();
+        }
+        if self.decision_audit || self.dwell_ledger {
             kernel.enable_dwell_ledger();
         }
         let mut ids = Vec::new();
@@ -395,7 +408,8 @@ impl System {
     }
 
     /// The per-CPU dwell ledger, sealed at the current virtual time, if
-    /// enabled via [`SystemBuilder::decision_audit`].
+    /// enabled via [`SystemBuilder::dwell_ledger`] or
+    /// [`SystemBuilder::decision_audit`].
     pub fn dwell_ledger(&self) -> Option<sa_sim::DwellLedger> {
         self.kernel.dwell_ledger()
     }

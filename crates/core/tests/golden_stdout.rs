@@ -13,7 +13,7 @@
 //!    through rather than parsed and dropped.
 //!
 //! The usage text printed on a bad flag lists every policy the flags
-//! accept.
+//! accept, and `--spaces` reaches exactly the subcommands that take it.
 
 use sa_kernel::AllocPolicyKind;
 use sa_uthread::ReadyPolicyKind;
@@ -121,4 +121,36 @@ fn unknown_flag_usage_lists_every_policy() {
             assert!(line.contains(name), "{line:?} omits {name}");
         }
     }
+}
+
+#[test]
+fn spaces_flag_fans_audit_and_is_rejected_by_trace() {
+    let audit = |extra: &[&str]| {
+        let mut args = vec![
+            "audit",
+            "slo_poisson",
+            "--requests",
+            "300",
+            "--format",
+            "csv",
+        ];
+        args.extend(extra);
+        sa_experiments(&args)
+    };
+    assert_ne!(
+        audit(&[]),
+        audit(&["--spaces", "16"]),
+        "audit: --spaces 16 produced the 4-space audit (flag not wired)"
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_sa-experiments"))
+        .args(["trace", "fig1", "--spaces", "16"])
+        .output()
+        .expect("spawn sa-experiments");
+    assert_eq!(out.status.code(), Some(2), "trace must reject --spaces");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--spaces only applies to the 'slo' and 'audit' subcommands"),
+        "{stderr}"
+    );
 }

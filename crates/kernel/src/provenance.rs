@@ -24,10 +24,26 @@
 //! telescope, so they sum *exactly* (integer nanoseconds) to the
 //! episode's startup wait — the quantity PR 8's SLO layer showed
 //! dominating the tail.
+//!
+//! **Storage.** The log is append-only and, under open-loop overload,
+//! the largest thing a run holds, so it grows without copying: the
+//! record streams are [`PagedVec`]s (4 096-row pages that never move),
+//! and the `Targets` vectors live in an arena of 16 384-entry pages in
+//! which a record never straddles a page. A `Targets` record whose
+//! demand and target vectors equal the previous `Targets` record's
+//! shares that record's [`CountsRange`] instead of appending a copy;
+//! on the SLO profiles about 97% of them do (DESIGN.md §6).
 
 use crate::ids::AsId;
 use crate::kernel::Kernel;
-use sa_sim::{SimTime, UpcallKind};
+use sa_sim::{PagedVec, SimTime, UpcallKind};
+
+/// Rows per page of the log's record streams.
+const LOG_PAGE: usize = 4096;
+
+/// Entries per page of the `Targets` counts arena (64 KiB). A record
+/// larger than a page gets a page of its own size.
+const COUNTS_PAGE: usize = 1 << 14;
 
 /// What an allocator decision decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +53,11 @@ pub enum AllocDecisionKind {
     /// are the demand changes that triggered reallocations).
     Targets {
         /// The demand and target vectors, interned in the log's counts
-        /// arena (resolve with [`ProvenanceLog::targets_counts`]).
-        /// Interning keeps the ~1-per-request records allocation-free
-        /// and `AllocDecision` small — the difference between ~12% and
-        /// ~5% audit overhead on the SLO bench cell.
+        /// arena (resolve with [`ProvenanceLog::targets_counts`]); equal
+        /// consecutive records share one range. Interning keeps the
+        /// ~1-per-request records allocation-free and `AllocDecision`
+        /// small — the difference between ~12% and ~5% audit overhead on
+        /// the SLO bench cell.
         counts: CountsRange,
     },
     /// A `pick_cpu()` grant of a free processor to a space.
@@ -92,8 +109,10 @@ impl VictimReason {
 /// record's per-space demand vector followed by its targets vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountsRange {
-    /// Arena offset of the demand vector.
-    start: u32,
+    /// Arena page holding the record.
+    page: u32,
+    /// Offset of the demand vector within the page.
+    offset: u32,
     /// Spaces per vector (the record occupies `2 * spaces` slots).
     spaces: u32,
 }
@@ -119,6 +138,11 @@ pub struct AllocDecision {
     /// What was decided.
     pub kind: AllocDecisionKind,
 }
+
+// The log's memory figures (DESIGN.md §6, "Storage") assume these row
+// sizes: a layout change must fail here, not only in the peak-RSS gates.
+const _: () = assert!(core::mem::size_of::<AllocDecision>() == 32);
+const _: () = assert!(core::mem::size_of::<GrantChain>() == 64);
 
 /// The causal chain of one grant to a scheduler-activation space:
 /// decision → preempt delivered → `add_processor` upcall → first user
@@ -191,34 +215,90 @@ pub struct DeliveredStamp {
 
 /// The decision-provenance log (enable with
 /// [`Kernel::enable_decision_log`], read with [`Kernel::decision_log`]).
+///
+/// Append-only, in pages that never move (see the module docs): growth
+/// allocates one page and copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
-    /// Every decision, in id order.
-    pub decisions: Vec<AllocDecision>,
-    /// Grant chains for scheduler-activation spaces, in decision order.
-    pub grants: Vec<GrantChain>,
-    /// Decision-stamped upcall deliveries, in delivery order.
-    pub delivered: Vec<DeliveredStamp>,
-    /// Interned demand/targets vectors for `Targets` records.
-    counts: Vec<u32>,
+    /// Every decision, in id order (4 096-row pages).
+    pub decisions: PagedVec<AllocDecision, LOG_PAGE>,
+    /// Grant chains for scheduler-activation spaces, in decision order
+    /// (4 096-row pages).
+    pub grants: PagedVec<GrantChain, LOG_PAGE>,
+    /// Decision-stamped upcall deliveries, in delivery order (4 096-row
+    /// pages).
+    pub delivered: PagedVec<DeliveredStamp, LOG_PAGE>,
+    /// Interned demand/targets vectors for `Targets` records: pages of
+    /// at least `COUNTS_PAGE` entries, each filled only up to its
+    /// allocated capacity, so a record never straddles two pages.
+    counts: Vec<Vec<u32>>,
+    /// The latest `Targets` record's range: the next record shares it
+    /// when its vectors are equal.
+    last_counts: Option<CountsRange>,
+    /// Reused buffer for the demand vector of the record being taken.
+    demand: Vec<u32>,
 }
 
 impl ProvenanceLog {
     /// The grant chain for `decision`, if one was opened (grants are
     /// pushed in decision order, so this is a binary search).
     pub fn grant(&self, decision: u64) -> Option<&GrantChain> {
-        self.grants
-            .binary_search_by_key(&decision, |g| g.decision)
-            .ok()
+        self.find_grant(decision, self.grants.len())
             .map(|i| &self.grants[i])
     }
 
     /// Resolves a `Targets` record's interned `(demand, targets)`
     /// per-space vectors.
     pub fn targets_counts(&self, r: CountsRange) -> (&[u32], &[u32]) {
-        let (start, n) = (r.start as usize, r.spaces as usize);
-        let buf = &self.counts[start..start + 2 * n];
-        buf.split_at(n)
+        let (start, n) = (r.offset as usize, r.spaces as usize);
+        self.counts[r.page as usize][start..start + 2 * n].split_at(n)
+    }
+
+    /// Interns one `Targets` record's vectors. A record equal to the
+    /// previous `Targets` record shares its range; any other appends
+    /// `2 * spaces` entries, opening a page when the current one cannot
+    /// hold all of them.
+    fn intern_counts(&mut self, demand: &[u32], targets: &[u32]) -> CountsRange {
+        debug_assert_eq!(demand.len(), targets.len());
+        if let Some(prev) = self.last_counts {
+            if self.targets_counts(prev) == (demand, targets) {
+                return prev;
+            }
+        }
+        let need = demand.len() + targets.len();
+        if self
+            .counts
+            .last()
+            .is_none_or(|page| page.capacity() - page.len() < need)
+        {
+            self.counts.push(Vec::with_capacity(need.max(COUNTS_PAGE)));
+        }
+        let page_idx = self.counts.len() - 1;
+        let page = &mut self.counts[page_idx];
+        let r = CountsRange {
+            page: u32::try_from(page_idx).expect("counts arena overflowed u32 pages"),
+            offset: u32::try_from(page.len()).expect("counts page overflowed u32 offsets"),
+            spaces: u32::try_from(demand.len()).expect("space count overflowed u32"),
+        };
+        page.extend_from_slice(demand);
+        page.extend_from_slice(targets);
+        self.last_counts = Some(r);
+        r
+    }
+
+    /// Index of the grant chain for `decision` among the first `n`
+    /// chains, by binary search (chains are pushed in decision order).
+    fn find_grant(&self, decision: u64, n: usize) -> Option<usize> {
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.grants[mid].decision.cmp(&decision) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// As [`ProvenanceLog::grant`], mutable, biased toward the hot case:
@@ -235,10 +315,8 @@ impl ProvenanceLog {
                 std::cmp::Ordering::Greater => {}
             }
         }
-        self.grants[..n.saturating_sub(8)]
-            .binary_search_by_key(&decision, |g| g.decision)
-            .ok()
-            .map(move |i| &mut self.grants[i])
+        let i = self.find_grant(decision, n.saturating_sub(8))?;
+        Some(&mut self.grants[i])
     }
 }
 
@@ -247,15 +325,7 @@ impl Kernel {
     /// choke points plus grant chains and delivery stamps). Decision ids
     /// advance regardless; only record-keeping is gated.
     pub fn enable_decision_log(&mut self) {
-        // Pre-size for a mid-size run: decision volume is ~3 per SLO
-        // request, so this skips the first dozen growth copies without
-        // committing real memory up front.
-        self.provenance = Some(Box::new(ProvenanceLog {
-            decisions: Vec::with_capacity(1 << 14),
-            grants: Vec::with_capacity(1 << 12),
-            delivered: Vec::with_capacity(1 << 12),
-            counts: Vec::with_capacity(1 << 15),
-        }));
+        self.provenance = Some(Box::default());
     }
 
     /// The provenance log, if enabled.
@@ -295,7 +365,7 @@ impl Kernel {
     pub(crate) fn record_decision(&mut self, id: u64, kind: AllocDecisionKind) {
         let at = self.q.now();
         if let Some(p) = &mut self.provenance {
-            debug_assert!(p.decisions.last().is_none_or(|d| d.id < id));
+            debug_assert!(p.decisions.iter().next_back().is_none_or(|d| d.id < id));
             p.decisions.push(AllocDecision { id, at, kind });
         }
     }
@@ -304,38 +374,23 @@ impl Kernel {
     /// policy saw and the targets it chose. Returns the decision id.
     pub(crate) fn note_targets_decision(&mut self, targets: &[u32]) -> u64 {
         let id = self.next_decision();
-        if self.provenance_enabled() {
-            // Demand into a stack buffer first (space_demand borrows the
-            // whole kernel), then intern both vectors in one arena append.
-            let n = self.spaces.len();
-            let mut demand = [0u32; 64];
-            let spill: Vec<u32>;
-            let demand: &[u32] = if n <= demand.len() {
-                for (idx, d) in demand[..n].iter_mut().enumerate() {
-                    *d = self.space_demand(AsId(idx as u32));
-                }
-                &demand[..n]
-            } else {
-                spill = (0..n)
-                    .map(|idx| self.space_demand(AsId(idx as u32)))
-                    .collect();
-                &spill
-            };
-            let p = self.provenance.as_mut().expect("provenance enabled");
-            let counts = CountsRange {
-                start: p.counts.len() as u32,
-                spaces: n as u32,
-            };
-            p.counts.extend_from_slice(demand);
-            p.counts.extend_from_slice(targets);
+        // The log steps out of the kernel while the demand vector is
+        // read (space_demand borrows the whole kernel).
+        if let Some(mut p) = self.provenance.take() {
+            let mut demand = std::mem::take(&mut p.demand);
+            demand.clear();
+            demand.extend((0..self.spaces.len()).map(|idx| self.space_demand(AsId(idx as u32))));
+            let counts = p.intern_counts(&demand, targets);
+            p.demand = demand;
+            self.provenance = Some(p);
             self.record_decision(id, AllocDecisionKind::Targets { counts });
         }
         id
     }
 
     /// Opens the grant chain for `decision` (scheduler-activation grants
-    /// only; no-op when the log is disabled). Returns the chain's index
-    /// in the grants vec, for O(1) closure at first dispatch.
+    /// only; no-op when the log is disabled). Returns the chain's row in
+    /// the grants table, for O(1) closure at first dispatch.
     pub(crate) fn open_grant_chain(
         &mut self,
         decision: u64,
@@ -344,7 +399,7 @@ impl Kernel {
     ) -> Option<u32> {
         let now = self.q.now();
         let p = self.provenance.as_mut()?;
-        p.grants.push(GrantChain {
+        Some(p.grants.push(GrantChain {
             decision,
             cpu: cpu as u32,
             space: space.0,
@@ -352,8 +407,7 @@ impl Kernel {
             preempt_done_at: now,
             upcall_at: None,
             first_dispatch_at: None,
-        });
-        Some((p.grants.len() - 1) as u32)
+        }))
     }
 
     /// Stamps a decision-carrying upcall delivery (and closes the upcall
@@ -394,6 +448,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -452,21 +507,70 @@ mod tests {
         assert_eq!(log.grant(9).unwrap().upcall_at, Some(t(10)));
     }
 
-    #[test]
-    fn targets_counts_roundtrip_through_the_arena() {
-        let mut log = ProvenanceLog::default();
-        let r1 = CountsRange {
-            start: 0,
-            spaces: 3,
-        };
-        log.counts.extend_from_slice(&[5, 0, 2, 4, 1, 1]);
-        let r2 = CountsRange {
-            start: 6,
-            spaces: 2,
-        };
-        log.counts.extend_from_slice(&[9, 9, 6, 2]);
-        assert_eq!(log.targets_counts(r1), (&[5, 0, 2][..], &[4, 1, 1][..]));
-        assert_eq!(log.targets_counts(r2), (&[9, 9][..], &[6, 2][..]));
+    /// One `Targets` record in an interning sequence.
+    #[derive(Debug, Clone)]
+    enum Record {
+        /// The previous record's vectors again.
+        Repeat,
+        /// `(demand, target)` per space. Entries are drawn from `0..3`,
+        /// so a fresh record sometimes equals its predecessor too.
+        Fresh(Vec<(u32, u32)>),
+    }
+
+    fn records() -> impl Strategy<Value = Record> {
+        prop_oneof![
+            6 => Just(Record::Repeat),
+            3 => prop::collection::vec((0u32..3, 0u32..3), 1..8).prop_map(Record::Fresh),
+            // Large records fill counts pages within a few draws, and
+            // those over 8 192 spaces need a page of their own.
+            1 => prop::collection::vec((0u32..3, 0u32..3), 3_000..9_000).prop_map(Record::Fresh),
+        ]
+    }
+
+    fn arena_len(log: &ProvenanceLog) -> usize {
+        log.counts.iter().map(Vec::len).sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every interned record resolves to exactly its own vectors, a
+        /// record equal to its predecessor shares the predecessor's
+        /// range, any other grows the arena by exactly `2 * spaces`, and
+        /// arena pages never move.
+        #[test]
+        fn interning_shares_exact_repeats(seq in prop::collection::vec(records(), 1..40)) {
+            let mut log = ProvenanceLog::default();
+            let mut model: Vec<(CountsRange, Vec<u32>, Vec<u32>)> = Vec::new();
+            let mut page_addrs: Vec<*const u32> = Vec::new();
+            for record in seq {
+                let (demand, targets) = match (record, model.last()) {
+                    (Record::Fresh(pairs), _) => pairs.into_iter().unzip(),
+                    (Record::Repeat, Some((_, d, t))) => (d.clone(), t.clone()),
+                    (Record::Repeat, None) => continue,
+                };
+                let before = arena_len(&log);
+                let r = log.intern_counts(&demand, &targets);
+                let grown = arena_len(&log) - before;
+                match model.last() {
+                    Some((prev, d, t)) if *d == demand && *t == targets => {
+                        prop_assert_eq!(r, *prev);
+                        prop_assert_eq!(grown, 0);
+                    }
+                    _ => prop_assert_eq!(grown, 2 * demand.len()),
+                }
+                model.push((r, demand, targets));
+                for (i, page) in log.counts.iter().enumerate() {
+                    match page_addrs.get(i) {
+                        Some(&addr) => prop_assert_eq!(page.as_ptr(), addr, "page {} moved", i),
+                        None => page_addrs.push(page.as_ptr()),
+                    }
+                }
+            }
+            for (r, d, t) in &model {
+                prop_assert_eq!(log.targets_counts(*r), (&d[..], &t[..]));
+            }
+        }
     }
 
     #[test]
@@ -499,7 +603,8 @@ mod tests {
         assert_eq!(
             AllocDecisionKind::Targets {
                 counts: CountsRange {
-                    start: 0,
+                    page: 0,
+                    offset: 0,
                     spaces: 0
                 }
             }

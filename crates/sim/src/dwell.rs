@@ -15,8 +15,12 @@
 //! reallocation rates) can be joined back to the specific decisions a
 //! policy change must suppress.
 
+use crate::paged::PagedVec;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
+
+/// Episodes per page of the ledger's record stream (192 KiB pages).
+const EPISODE_PAGE: usize = 4096;
 
 /// One maximal interval during which a CPU's assignment was constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +40,10 @@ pub struct DwellEpisode {
     /// space completion, or end-of-run seal).
     pub closed_by: u64,
 }
+
+// The ledger's memory figures (DESIGN.md §6, "Storage") assume this row
+// size: a layout change must fail here, not only in the peak-RSS gates.
+const _: () = assert!(core::mem::size_of::<DwellEpisode>() == 48);
 
 impl DwellEpisode {
     /// The episode's length.
@@ -66,11 +74,15 @@ pub struct ChurnWindow {
 /// [`DwellLedger::release`] on every release; a snapshot for reporting
 /// is a clone with [`DwellLedger::seal`] applied, which closes the open
 /// tail episodes so the partition covers the whole makespan.
+///
+/// Episodes live in fixed pages that never move: growth allocates one
+/// page and copies nothing, and a snapshot copies whole pages, so
+/// sealing it appends without regrowing a buffer.
 #[derive(Debug, Clone)]
 pub struct DwellLedger {
     /// Per-CPU open episode: (space, start, opening decision).
     open: Vec<(Option<u32>, SimTime, u64)>,
-    episodes: Vec<DwellEpisode>,
+    episodes: PagedVec<DwellEpisode, EPISODE_PAGE>,
     sealed: bool,
 }
 
@@ -80,7 +92,7 @@ impl DwellLedger {
     pub fn new(n_cpus: usize) -> Self {
         DwellLedger {
             open: vec![(None, SimTime::ZERO, 0); n_cpus],
-            episodes: Vec::new(),
+            episodes: PagedVec::new(),
             sealed: false,
         }
     }
@@ -130,7 +142,7 @@ impl DwellLedger {
     }
 
     /// All closed episodes, in close order.
-    pub fn episodes(&self) -> &[DwellEpisode] {
+    pub fn episodes(&self) -> &PagedVec<DwellEpisode, EPISODE_PAGE> {
         &self.episodes
     }
 

@@ -1,4 +1,5 @@
-//! Paged-slab storage for dense per-thread tables.
+//! Paged-slab storage for dense append-only tables: the per-thread
+//! tables, and the decision log and dwell ledger's record streams.
 //!
 //! A [`PagedVec`] is an append-only indexed table that grows by whole
 //! pages instead of realloc-and-copy. At 10⁶ entries a plain `Vec`
@@ -101,13 +102,43 @@ impl<T, const P: usize> PagedVec<T, P> {
     }
 
     /// Iterates rows in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> core::iter::Flatten<core::slice::Iter<'_, Vec<T>>> {
         self.pages.iter().flatten()
     }
 
     /// Iterates rows mutably in index order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.pages.iter_mut().flatten()
+    }
+}
+
+impl<'a, T, const P: usize> IntoIterator for &'a PagedVec<T, P> {
+    type Item = &'a T;
+    type IntoIter = core::iter::Flatten<core::slice::Iter<'a, Vec<T>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Copies every page at full page capacity, so the copy keeps growing a
+/// page at a time like the original (a derived clone would trim the last
+/// page to its length, and the next push would regrow it).
+impl<T: Clone, const P: usize> Clone for PagedVec<T, P> {
+    fn clone(&self) -> Self {
+        let pages = self
+            .pages
+            .iter()
+            .map(|page| {
+                let mut copy = Vec::with_capacity(P);
+                copy.extend_from_slice(page);
+                copy
+            })
+            .collect();
+        PagedVec {
+            pages,
+            len: self.len,
+        }
     }
 }
 

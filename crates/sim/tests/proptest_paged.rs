@@ -2,8 +2,10 @@
 //! model. [`PagedVec`] is the storage under the kernel's and runtime's
 //! struct-of-arrays thread tables, so its indexing must be exactly
 //! `Vec`-shaped: same ids from `push`, same values back from `get`/index,
-//! same iteration order, same mutation visibility — while additionally
-//! guaranteeing rows never move and residency grows by whole pages.
+//! same iteration order (by `iter` and by `for x in &paged`), same
+//! mutation visibility, and a clone equal to the model — while
+//! additionally guaranteeing rows never move and residency grows by
+//! whole pages, in the clone too.
 
 use proptest::prelude::*;
 use sa_sim::PagedVec;
@@ -88,8 +90,26 @@ fn check_against_model<const P: usize>(ops: &[SlabOp]) {
     // Terminal invariants: iteration order and one-past-the-end reads.
     let collected: Vec<u64> = paged.iter().copied().collect();
     assert_eq!(collected, model);
+    let mut looped = Vec::new();
+    for &x in &paged {
+        looped.push(x);
+    }
+    assert_eq!(looped, model);
     assert_eq!(paged.get(model.len()), None);
     assert_eq!(paged.get_mut(model.len()), None);
+    // A clone holds the same rows in whole pages and grows on its own.
+    let mut copy = paged.clone();
+    assert_eq!(copy.len(), model.len());
+    assert_eq!(copy.iter().copied().collect::<Vec<_>>(), model);
+    assert_eq!(copy.bytes_resident(), paged.bytes_resident());
+    copy.push(u64::MAX);
+    assert_eq!(copy[model.len()], u64::MAX);
+    assert_eq!(
+        paged.len(),
+        model.len(),
+        "pushing to the clone grew the original"
+    );
+    assert_eq!(copy.bytes_resident(), (model.len() + 1).div_ceil(P) * P * 8);
 }
 
 proptest! {
