@@ -6,70 +6,33 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_machine::{BlockId, ComputeBody, CostModel};
-use sa_sim::{event::lazy::LazyEventQueue, EventCore, EventQueue, SimDuration, SimTime};
+use sa_sim::{EventQueue, SimDuration, SimTime};
 use sa_workload::nbody::BarnesHut;
 use sa_workload::BufCache;
 use std::hint::black_box;
 
 fn bench_event_queue(c: &mut Criterion) {
-    for (label, core) in [
-        ("event_queue_push_pop_1k", EventCore::Wheel),
-        ("event_queue_push_pop_1k_indexed", EventCore::Indexed),
-    ] {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_core(core);
-                for i in 0..1000u64 {
-                    q.schedule(SimTime::from_nanos(i * 7919 % 100_000 + 100_000), i);
-                }
-                let mut sum = 0u64;
-                while let Some((_, v)) = q.pop() {
-                    sum += v;
-                }
-                black_box(sum)
-            })
-        });
-    }
+    c.bench_function("event_queue_push_pop_1k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..1000u64 {
+                q.schedule(SimTime::from_nanos(i * 7919 % 100_000 + 100_000), i);
+            }
+            let mut sum = 0u64;
+            while let Some((_, v)) = q.pop() {
+                sum += v;
+            }
+            black_box(sum)
+        })
+    });
 }
 
 /// The kernel's actual workload shape: pushes interleaved with eager
-/// cancels (timeouts that don't fire) and pops. Runs the same mix against
-/// the timing wheel (production core), the indexed heap, and the retained
-/// lazy-cancellation baseline so the win (and any regression) is visible
-/// in one output.
+/// cancels (timeouts that don't fire) and pops.
 fn bench_event_queue_cancel_mix(c: &mut Criterion) {
-    for (label, core) in [
-        ("event_queue_push_cancel_pop_1k", EventCore::Wheel),
-        ("event_queue_push_cancel_pop_1k_indexed", EventCore::Indexed),
-    ] {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_core(core);
-                let mut sum = 0u64;
-                for round in 0..16u64 {
-                    let base = (round + 1) * 200_000;
-                    let toks: Vec<_> = (0..64)
-                        .map(|i| {
-                            let t = round * 64 + i;
-                            q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t)
-                        })
-                        .collect();
-                    for tok in toks.iter().step_by(4) {
-                        q.cancel(*tok);
-                    }
-                    for _ in 0..48 {
-                        if let Some((_, v)) = q.pop() {
-                            sum += v;
-                        }
-                    }
-                }
-                black_box(sum)
-            })
-        });
-    }
-    c.bench_function("event_queue_push_cancel_pop_1k_lazy", |b| {
+    c.bench_function("event_queue_push_cancel_pop_1k", |b| {
         b.iter(|| {
-            let mut q = LazyEventQueue::new();
+            let mut q = EventQueue::new();
             let mut sum = 0u64;
             for round in 0..16u64 {
                 let base = (round + 1) * 200_000;
@@ -91,32 +54,6 @@ fn bench_event_queue_cancel_mix(c: &mut Criterion) {
             black_box(sum)
         })
     });
-}
-
-/// Same-tick batch delivery: 1k events over 50 shared timestamps drained
-/// through `pop_batch`/`batch_pop` — the kernel step loop's shape when
-/// several CPUs finish segments at one instant.
-fn bench_event_queue_batch_drain(c: &mut Criterion) {
-    for (label, core) in [
-        ("event_queue_batch_drain_1k", EventCore::Wheel),
-        ("event_queue_batch_drain_1k_indexed", EventCore::Indexed),
-    ] {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_core(core);
-                for i in 0..1000u64 {
-                    q.schedule(SimTime::from_micros(100 + i % 50), i);
-                }
-                let mut sum = 0u64;
-                while q.pop_batch().is_some() {
-                    while let Some(v) = q.batch_pop() {
-                        sum += v;
-                    }
-                }
-                black_box(sum)
-            })
-        });
-    }
 }
 
 fn bench_bufcache(c: &mut Criterion) {
@@ -168,7 +105,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_cancel_mix,
-    bench_event_queue_batch_drain,
     bench_bufcache,
     bench_barnes_hut,
     bench_system_run

@@ -25,13 +25,11 @@ use sa_core::sweeps::{fig1_grid_throughput, latency_rows, upcall_measurements};
 use sa_core::trace_export::{perfetto_counters_json, perfetto_json, text_log};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_harness::{jobs_from_env, parse_jobs, PanickedJob};
-use sa_kernel::{AllocPolicy, AllocPolicyKind, AllocView, DaemonSpec, SpaceDemand, SpaceShareEven};
+use sa_kernel::{AllocPolicyKind, DaemonSpec};
 use sa_machine::CostModel;
-use sa_sim::{
-    event::lazy::LazyEventQueue, EventCore, EventQueue, SimDuration, SimTime, Trace, UpcallKind,
-};
+use sa_sim::{EventQueue, SimDuration, SimTime, Trace, UpcallKind};
 use sa_uthread::{CriticalSectionMode, ReadyPolicyKind};
-use sa_workload::nbody::{nbody_parallel, NBodyConfig};
+use sa_workload::nbody::NBodyConfig;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
@@ -227,27 +225,19 @@ fn table5(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
 /// Standing far-out timers kept pending through the whole queue mix. The
 /// kernel's queue always carries a backlog of per-CPU quantum timers,
 /// daemon wakeups, and I/O timeouts that rarely fire; the near-term
-/// churn happens on top of it. The backlog is what separates the wheel's
-/// O(1) operations (untouched coarse slots) from the heap's O(log n)
-/// sifts through the whole population.
+/// churn happens on top of it, so a near-empty queue would flatter the
+/// measurement.
 const QUEUE_MIX_STANDING: u64 = 4096;
 
-/// Schedules the standing backlog: timers 4 ms apart starting at 20
-/// virtual seconds, far past every timestamp the mix itself pops.
-fn prefill_standing(mut schedule: impl FnMut(SimTime, u64)) {
+/// Push/pop/cancel microloop against the event queue, run over a
+/// standing backlog of `QUEUE_MIX_STANDING` pending timers.
+fn queue_microloop(ops: u64) -> f64 {
+    let mut q = EventQueue::new();
+    // The backlog: timers 4 ms apart starting at 20 virtual seconds, far
+    // past every timestamp the mix itself pops.
     for i in 0..QUEUE_MIX_STANDING {
-        schedule(SimTime::from_nanos(20_000_000_000 + i * 4_000_000), !i);
+        q.schedule(SimTime::from_nanos(20_000_000_000 + i * 4_000_000), !i);
     }
-}
-
-/// Push/pop/cancel microloop against the selected event core (the wheel
-/// in production, the indexed heap as the differential baseline), run
-/// over a standing backlog of `QUEUE_MIX_STANDING` pending timers.
-fn queue_microloop(core: EventCore, ops: u64) -> f64 {
-    let mut q = EventQueue::with_core(core);
-    prefill_standing(|t, v| {
-        q.schedule(t, v);
-    });
     let start = Instant::now();
     let mut sum = 0u64;
     let mut tokens = Vec::with_capacity(64);
@@ -261,35 +251,6 @@ fn queue_microloop(core: EventCore, ops: u64) -> f64 {
             tokens.push(q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t));
         }
         // Cancel a quarter eagerly, pop the rest.
-        for tok in tokens.iter().step_by(4) {
-            q.cancel(*tok);
-        }
-        for _ in 0..48 {
-            if let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-        }
-    }
-    std::hint::black_box(sum);
-    ops as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The same microloop against the retained lazy-cancellation baseline.
-fn queue_microloop_lazy(ops: u64) -> f64 {
-    let mut q = LazyEventQueue::new();
-    prefill_standing(|t, v| {
-        q.schedule(t, v);
-    });
-    let start = Instant::now();
-    let mut sum = 0u64;
-    let mut tokens = Vec::with_capacity(64);
-    for round in 0..ops / 64 {
-        tokens.clear();
-        let base = (round + 1) * 200_000;
-        for i in 0..64u64 {
-            let t = round * 64 + i;
-            tokens.push(q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t));
-        }
         for tok in tokens.iter().step_by(4) {
             q.cancel(*tok);
         }
@@ -318,46 +279,6 @@ fn best_of(n: usize, mut run: impl FnMut() -> EngineThroughput) -> EngineThrough
         }
     }
     best
-}
-
-/// Same-tick batch dispatch at system scale: two multiprogrammed N-body
-/// applications on the six-processor machine, which keeps several CPUs
-/// finishing segments at identical timestamps — the simultaneity classes
-/// the kernel loop's `pop_batch` drains in one queue entry. Returns host
-/// throughput on the chosen event core.
-fn batch_dispatch_throughput(core: EventCore) -> EngineThroughput {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig {
-        bodies: NBodyConfig::default().bodies / 2,
-        ..NBodyConfig::default()
-    };
-    let mut builder = SystemBuilder::new(6)
-        .cost(cost)
-        .seed(1)
-        .event_core(core)
-        .daemons(DaemonSpec::topaz_default_set())
-        .run_limit(SimTime::from_millis(3_600_000));
-    for copy in 0..2 {
-        let (body, _handle) = nbody_parallel(cfg.clone());
-        builder = builder.app(AppSpec::new(
-            format!("nbody-batch{copy}"),
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            body,
-        ));
-    }
-    let mut sys = builder.build();
-    let start = Instant::now();
-    let report = sys.run();
-    let host_seconds = start.elapsed().as_secs_f64();
-    assert!(
-        report.all_done(),
-        "batch dispatch bench: {:?}",
-        report.outcome
-    );
-    EngineThroughput {
-        sim_events: sys.kernel().kernel_metrics().events.get(),
-        host_seconds,
-    }
 }
 
 /// Result of a thread-churn run: lifecycle throughput plus the resident
@@ -449,46 +370,8 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The §4.1 allocation decision on a synthetic eight-space view, called
-/// `iters` times. `boxed` routes each call through `Box<dyn AllocPolicy>`
-/// exactly as the kernel's rebalance does since the policy split;
-/// otherwise the concrete `SpaceShareEven` is called directly, which the
-/// compiler can inline — the pre-split shape. The delta between the two
-/// is the trait-object dispatch overhead the `policy_dispatch` bench line
-/// tracks.
-fn alloc_policy_microloop(iters: u64, boxed: bool) -> f64 {
-    let spaces: Vec<SpaceDemand> = (0..8)
-        .map(|i| SpaceDemand {
-            demand: (i % 5) as u32,
-            priority: 1 + (i % 3) as u8,
-            assigned: 0,
-        })
-        .collect();
-    let last_space: Vec<Option<u32>> = (0..6).map(|c| Some(c % 8)).collect();
-    let dynamic: Box<dyn AllocPolicy> = AllocPolicyKind::SpaceShareEven.build();
-    let concrete = SpaceShareEven;
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for r in 0..iters {
-        let view = AllocView {
-            spaces: &spaces,
-            total_cpus: 6,
-            rotation: r as u32,
-            last_space: &last_space,
-        };
-        let (targets, _) = if boxed {
-            dynamic.targets(&view)
-        } else {
-            concrete.targets(&view)
-        };
-        acc += u64::from(targets.iter().sum::<u32>());
-    }
-    std::hint::black_box(acc);
-    iters as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Engine throughput harness: a Figure 1-sized N-body system run plus
-/// queue/dispatch microloops and the host-parallel grid sweep, reported
+/// the queue microloop and the host-parallel grid sweep, reported
 /// in host events (or ops) per second and written to `BENCH_engine.json`
 /// for tracking across commits.
 fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
@@ -577,81 +460,14 @@ fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
         ),
     ));
 
-    // Queue microloops on the same cancel-heavy push/cancel/pop mix:
-    // timing wheel (production core) vs indexed heap vs the retained
-    // lazy-cancellation baseline (`sa_sim::event::lazy`). Repeats are
-    // interleaved across the three cores (and the best kept per core) so
-    // host-speed drift during the run cannot skew the ratios.
+    // Queue microloop on the cancel-heavy push/cancel/pop mix, best of
+    // three repeats.
     const QOPS: u64 = 2_000_000;
-    let (mut wheel, mut indexed, mut lazy) = (0f64, 0f64, 0f64);
-    for _ in 0..3 {
-        wheel = wheel.max(queue_microloop(EventCore::Wheel, QOPS));
-        indexed = indexed.max(queue_microloop(EventCore::Indexed, QOPS));
-        lazy = lazy.max(queue_microloop_lazy(QOPS));
-    }
+    let queue = (0..3).map(|_| queue_microloop(QOPS)).fold(0f64, f64::max);
     lines.push(BenchLine::new(
         "queue_mix_wheel",
-        wheel,
-        format!("{QOPS} scheduled; {:.2}x indexed", wheel / indexed),
-    ));
-    lines.push(BenchLine::new(
-        "queue_mix_indexed",
-        indexed,
+        queue,
         format!("{QOPS} scheduled"),
-    ));
-    lines.push(BenchLine::new(
-        "queue_mix_lazy_baseline",
-        lazy,
-        format!("{QOPS} scheduled; indexed is {:.2}x", indexed / lazy),
-    ));
-
-    // Same-tick batch dispatch at system scale (multiprogrammed 6-CPU
-    // run, wheel core; the indexed number pins the spread between cores
-    // on the batch-heaviest scenario).
-    // Interleaved for the same drift-immunity as the queue mix.
-    let mut batch_wheel = batch_dispatch_throughput(EventCore::Wheel);
-    let mut batch_indexed = batch_dispatch_throughput(EventCore::Indexed);
-    for _ in 0..2 {
-        let w = batch_dispatch_throughput(EventCore::Wheel);
-        if w.host_seconds < batch_wheel.host_seconds {
-            batch_wheel = w;
-        }
-        let i = batch_dispatch_throughput(EventCore::Indexed);
-        if i.host_seconds < batch_indexed.host_seconds {
-            batch_indexed = i;
-        }
-    }
-    lines.push(BenchLine::new(
-        "system_batch_dispatch",
-        batch_wheel.events_per_sec(),
-        format!(
-            "2-app 6-cpu run; indexed core {:.0}/s ({:.2}x of wheel)",
-            batch_indexed.events_per_sec(),
-            batch_indexed.events_per_sec() / batch_wheel.events_per_sec()
-        ),
-    ));
-
-    // Allocation-policy dispatch: the same §4.1 division through the
-    // policy trait object (how the kernel's `Custom` fallback calls it)
-    // vs the inlined concrete call (the monomorphic fast path). Repeats
-    // are interleaved across the two shapes and the best kept per shape —
-    // the earlier back-to-back measurement let host-frequency drift
-    // between the two loops invert the ratio on slow containers. The
-    // inlined/dyn ratio in the detail line is asserted ≥ 1 in CI: the
-    // inlined shape can tie the trait object but must never lose to it.
-    const POPS: u64 = 400_000;
-    let (mut dispatched, mut inlined) = (0f64, 0f64);
-    for _ in 0..3 {
-        dispatched = dispatched.max(alloc_policy_microloop(POPS, true));
-        inlined = inlined.max(alloc_policy_microloop(POPS, false));
-    }
-    lines.push(BenchLine::new(
-        "policy_dispatch",
-        dispatched,
-        format!(
-            "{POPS} divisions; inlined {inlined:.0}/s ({:.2}x of dyn; interleaved best-of-3)",
-            inlined / dispatched
-        ),
     ));
 
     // Thread-lifecycle churn: 10⁶ short-lived threads through one

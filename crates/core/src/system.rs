@@ -8,7 +8,7 @@ use sa_kernel::{
 use sa_machine::disk::DiskConfig;
 use sa_machine::program::ThreadBody;
 use sa_machine::CostModel;
-use sa_sim::{EventCore, SimDuration, SimTime, Trace};
+use sa_sim::{SimDuration, SimTime, Trace};
 use sa_uthread::{CriticalSectionMode, FastThreads, FtConfig, ReadyPolicyKind, SpinPolicy};
 
 /// Which thread system an application uses — the four columns of the
@@ -88,8 +88,6 @@ pub struct SystemBuilder {
     daemons: Vec<DaemonSpec>,
     disk: DiskConfig,
     seed: u64,
-    event_core: EventCore,
-    dyn_policies: bool,
     run_limit: SimTime,
     trace: Option<Trace>,
     windowed: Option<SimDuration>,
@@ -110,8 +108,6 @@ impl SystemBuilder {
             daemons: Vec::new(),
             disk: DiskConfig::default(),
             seed: 0x5eed,
-            event_core: EventCore::default(),
-            dyn_policies: false,
             run_limit: SimTime::from_millis(600_000),
             trace: None,
             windowed: None,
@@ -160,14 +156,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the event-queue core (differential testing and benchmarking;
-    /// the cores are observationally identical, so production callers keep
-    /// the default timing wheel).
-    pub fn event_core(mut self, core: EventCore) -> Self {
-        self.event_core = core;
-        self
-    }
-
     /// Sets the hard virtual-time limit.
     pub fn run_limit(mut self, limit: SimTime) -> Self {
         self.run_limit = limit;
@@ -209,15 +197,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Routes the allocation and ready policies through their original
-    /// `Box<dyn>` trait objects instead of the enum-dispatched fast path.
-    /// Observationally equivalent by construction; differential tests run
-    /// both shapes and diff the traces.
-    pub fn dyn_policies(mut self, on: bool) -> Self {
-        self.dyn_policies = on;
-        self
-    }
-
     /// Adds an application.
     pub fn app(mut self, app: AppSpec) -> Self {
         self.apps.push(app);
@@ -245,13 +224,9 @@ impl SystemBuilder {
             daemons: self.daemons,
             disk: self.disk,
             seed: self.seed,
-            event_core: self.event_core,
             run_limit: self.run_limit,
         };
         let mut kernel = Kernel::new(cfg, self.cost);
-        if self.dyn_policies {
-            kernel.set_alloc_policy(self.alloc_policy.build());
-        }
         if let Some(trace) = self.trace {
             kernel.set_trace(trace);
         }
@@ -281,13 +256,8 @@ impl SystemBuilder {
                     cfg.lock_policy = app.lock_policy;
                     cfg.priority_scheduling = app.priority_scheduling;
                     cfg.ready_policy = app.ready_policy;
-                    let ready_kind = cfg.ready_policy;
-                    let mut rt = FastThreads::new(cfg);
-                    if self.dyn_policies {
-                        rt.set_ready_policy(ready_kind.build());
-                    }
                     SpaceKindSpec::UserLevel {
-                        runtime: Box::new(rt),
+                        runtime: Box::new(FastThreads::new(cfg)),
                         main: app.main,
                     }
                 }
@@ -297,13 +267,8 @@ impl SystemBuilder {
                     cfg.lock_policy = app.lock_policy;
                     cfg.priority_scheduling = app.priority_scheduling;
                     cfg.ready_policy = app.ready_policy;
-                    let ready_kind = cfg.ready_policy;
-                    let mut rt = FastThreads::new(cfg);
-                    if self.dyn_policies {
-                        rt.set_ready_policy(ready_kind.build());
-                    }
                     SpaceKindSpec::UserLevel {
-                        runtime: Box::new(rt),
+                        runtime: Box::new(FastThreads::new(cfg)),
                         main: app.main,
                     }
                 }
@@ -431,12 +396,6 @@ impl System {
     /// Access to the underlying kernel (trace, global metrics, time).
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
-    }
-
-    /// Mutable access to the underlying kernel (policy injection in
-    /// differential tests).
-    pub fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.kernel
     }
 }
 

@@ -1,8 +1,8 @@
 //! Whole-system determinism: two runs with the same seed must produce
 //! bit-identical traces and timings. This is the property the engine's
-//! hot-path data structures (indexed event queue, tombstoned ready queue)
-//! must preserve — every pop is the unique minimum `(time, seq)`, so no
-//! internal reorganisation may change observable order.
+//! hot-path data structures (timing-wheel event queue, tombstoned ready
+//! queue) must preserve — every pop is the unique minimum `(time, seq)`,
+//! so no internal reorganisation may change observable order.
 
 use sa_core::experiments::nbody_run;
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};

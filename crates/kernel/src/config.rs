@@ -4,7 +4,7 @@ use crate::policy::AllocPolicyKind;
 use crate::upcall::UserRuntime;
 use sa_machine::disk::DiskConfig;
 use sa_machine::program::ThreadBody;
-use sa_sim::{EventCore, SimDuration, SimTime};
+use sa_sim::{SimDuration, SimTime};
 
 /// Which processor-scheduling regime the kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +70,6 @@ pub struct KernelConfig {
     pub disk: DiskConfig,
     /// RNG seed; identical seeds reproduce runs exactly.
     pub seed: u64,
-    /// Which event-queue implementation drives the run. Cores are
-    /// observationally identical (pinned by trace-identity tests); the
-    /// non-default [`EventCore::Indexed`] exists for differential testing
-    /// and benchmarking.
-    pub event_core: EventCore,
     /// Hard stop: the run aborts (reporting `timed_out`) if virtual time
     /// exceeds this bound, so misconfigured workloads cannot hang a suite.
     pub run_limit: SimTime,
@@ -89,7 +84,6 @@ impl Default for KernelConfig {
             daemons: Vec::new(),
             disk: DiskConfig::default(),
             seed: 0x005e_ed5a,
-            event_core: EventCore::default(),
             run_limit: SimTime::from_millis(600_000), // 10 virtual minutes
         }
     }
@@ -188,7 +182,6 @@ mod tests {
         assert_eq!(c.sched, SchedMode::SaAllocator);
         assert_eq!(c.alloc_policy, AllocPolicyKind::SpaceShareEven);
         assert!(c.daemons.is_empty());
-        assert_eq!(c.event_core, EventCore::Wheel);
     }
 
     #[test]

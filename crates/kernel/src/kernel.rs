@@ -222,13 +222,12 @@ impl Kernel {
         let disk = Disk::new(cfg.disk);
         let rng = SimRng::new(cfg.seed);
         let alloc_policy = cfg.alloc_policy.build_select();
-        let q = EventQueue::with_core(cfg.event_core);
         let segs = crate::exec::SegCache::new(&cost);
         let mut kernel = Kernel {
             cfg,
             cost,
             segs,
-            q,
+            q: EventQueue::new(),
             rng,
             trace: Trace::disabled(),
             cpus,
@@ -267,9 +266,9 @@ impl Kernel {
         self.trace = trace;
     }
 
-    /// Replaces the allocation policy with a custom trait-object policy —
-    /// the pre-flattening dynamic-dispatch shape (differential tests use
-    /// this to pin enum dispatch to the `Box<dyn>` path byte-for-byte).
+    /// Replaces the allocation policy with a custom trait-object policy:
+    /// one defined outside this crate, or a built-in one wrapped by a
+    /// caller (for example a probe that times each policy call).
     pub fn set_alloc_policy(&mut self, p: Box<dyn AllocPolicy>) {
         self.alloc_policy = AllocPolicySelect::Custom(p);
         self.targets_memo.clear();
@@ -499,12 +498,8 @@ impl Kernel {
     /// Each iteration delivers one event with `pop_within` — a fused
     /// peek + pop that applies the run-limit check without a separate
     /// queue-head scan. Delivery is the queue's strict `(time, seq)`
-    /// order, so every trace, metric, and golden output is byte-identical
-    /// to both the old batch-staging loop and the still-older
-    /// one-pop-per-iteration loop. System runs measure ~1.0 events per
-    /// simultaneity class, which made the batch staging machinery (slot
-    /// walks, sequence sort, staging deque) pure per-event overhead —
-    /// the single-pop loop skips all of it.
+    /// order, which is what makes every trace, metric, and golden output
+    /// a pure function of the seed.
     ///
     /// Handlers commit strictly one at a time: the allocator's grants are
     /// dependent decisions, so a run is serial (DESIGN.md §7).

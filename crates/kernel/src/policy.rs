@@ -432,9 +432,9 @@ impl FromStr for AllocPolicyKind {
 /// [`AllocPolicyKind`], so the `Box<dyn AllocPolicy>` the kernel held
 /// since the policy/mechanism split was provably monomorphic at every
 /// `targets`/`pick_cpu` call; this enum resolves those calls statically
-/// while [`Custom`] keeps the open trait for external policies — and
-/// doubles as the pre-flattening dynamic-dispatch shape for differential
-/// tests.
+/// while [`Custom`] keeps the open trait for out-of-tree policies and
+/// for wrappers around the built-in ones (see
+/// [`crate::Kernel::set_alloc_policy`]).
 ///
 /// [`Custom`]: AllocPolicySelect::Custom
 pub enum AllocPolicySelect {

@@ -1,48 +1,60 @@
-//! Deterministic, cancellable future-event list with selectable cores.
+//! Deterministic, cancellable future-event list: a hierarchical timing
+//! wheel (Varghese–Lauck).
 //!
-//! [`EventQueue`] is a facade over two interchangeable implementations:
+//! Four levels of 256 slots over a 512 ns tick. Level 0 resolves single
+//! ticks (horizon ~131 µs — comfortably past every cost-model constant),
+//! each coarser level covers 256× the span of the one below (L1 ~33.6 ms,
+//! L2 ~8.6 s, L3 ~36.7 min), and events beyond L3's horizon wait on an
+//! unsorted overflow list. Schedule and cancel are O(1): a slot/level pair
+//! is two shifts and a mask, entries live on intrusive doubly-linked lists
+//! threaded through the slab, and per-level occupancy bitmaps make the
+//! next-slot scan four word tests.
 //!
-//! - [`wheel`] — a hierarchical timing wheel (Varghese–Lauck), the
-//!   **default**: O(1) schedule and cancel, amortized O(1) pop with lazy
-//!   cascade. The dominant simulator mix — schedule-soon, cancel-often
-//!   (quantum timers cancelled on every early dispatch) — never pays a
-//!   comparison-sort. See the [`wheel`] module docs for slot counts, tick
-//!   granularity, and the cascade rule.
-//! - [`indexed`] — the previous slab-backed indexed binary min-heap,
-//!   retained as the differential baseline and selectable with
-//!   [`EventCore::Indexed`]. (The still-older lazy-cancellation design
-//!   survives in [`lazy`] for the same reason.)
+//! ## Cascade rule
 //!
-//! Both cores pop in the unique strict ascending `(time, sequence)` order
-//! — the sequence number is assigned at schedule time, so two events at
-//! the same instant always fire in the order they were scheduled. Core
-//! choice is therefore unobservable through the API (the three-way
-//! model-based proptests and whole-system trace-identity tests pin this),
-//! and whole-system runs stay bit-for-bit reproducible.
+//! The wheel cursor (`cur_tick`) advances lazily, only ever to the minimum
+//! live tick. Extraction computes each level's first occupied slot (the
+//! circular bitmap scan from the cursor's position) plus the overflow
+//! minimum, takes the smallest slot-start across all of them, and — if the
+//! winner is not at level 0 — relocates that one slot's entries, which
+//! provably land at least one level finer (the slot start is aligned to
+//! the finer level's window). Ties go to the *coarsest* holder, so events
+//! sharing a tick are always merged into one level-0 slot before any of
+//! them is delivered. Each entry therefore cascades at most `LEVELS − 1`
+//! times over its lifetime: amortized O(1) per event.
+//!
+//! ## Ordering guarantee
+//!
+//! Events pop in the unique strict ascending `(time, seq)` order, where
+//! `seq` is assigned at schedule time, so two events at the same instant
+//! always fire in the order they were scheduled and whole-system runs stay
+//! bit-for-bit reproducible. A level-0 slot spans one 512 ns tick, so it
+//! can hold events at different nanosecond timestamps; delivery scans the
+//! (tiny) slot list for the minimum `(time, seq)`, which also gives
+//! same-instant events their schedule-order FIFO tie-break.
 //!
 //! ## Tokens
 //!
-//! Tokens are generation-stamped slab indices shared by both cores: a
-//! slot's generation bumps every time its entry leaves the queue (pop or
-//! cancel), so a stale token held across slot reuse can never cancel the
-//! wrong event.
-//!
-//! ## Same-tick batch delivery
-//!
-//! [`EventQueue::pop_batch`] stages *every* event at the next timestamp
-//! and [`EventQueue::batch_pop`] delivers them one by one, so a step loop
-//! applies a whole simultaneity class without re-entering the queue's
-//! extraction machinery per event. Staged entries remain cancellable
-//! (cancellation mid-batch suppresses delivery and returns `true`,
-//! exactly as if the event were still queued), and events scheduled while
-//! a batch drains — even at the same timestamp — form the *next* batch,
-//! preserving the serial pop order byte-for-byte.
-
-pub mod indexed;
-pub mod lazy;
-pub mod wheel;
+//! Tokens are generation-stamped slab indices: a slot's generation bumps
+//! every time its entry leaves the queue (pop or cancel), so a stale token
+//! held across slot reuse can never cancel the wrong event.
 
 use crate::time::SimTime;
+
+/// log2 of the tick in nanoseconds (512 ns): fine enough that a slot scan
+/// stays short, coarse enough that the four-level horizon (~37 virtual
+/// minutes) covers every non-degenerate scheduling distance.
+const GRAN_SHIFT: u32 = 9;
+/// log2 of the slots per level.
+const LEVEL_BITS: u32 = 8;
+/// Slots per level.
+const SLOTS: usize = 1 << LEVEL_BITS;
+/// Wheel levels; beyond them, the overflow list.
+const LEVELS: usize = 4;
+/// Occupancy-bitmap words per level.
+const WORDS: usize = SLOTS / 64;
+/// Null link.
+const NIL: u32 = u32::MAX;
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
 ///
@@ -51,40 +63,8 @@ use crate::time::SimTime;
 /// slot has since been reused for a new event.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventToken {
-    pub(crate) slot: u32,
-    pub(crate) gen: u32,
-}
-
-/// Which implementation backs an [`EventQueue`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum EventCore {
-    /// Hierarchical timing wheel (the default; see [`wheel`]).
-    #[default]
-    Wheel,
-    /// Indexed binary min-heap, the differential baseline ([`indexed`]).
-    Indexed,
-}
-
-impl EventCore {
-    /// Stable name for reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventCore::Wheel => "wheel",
-            EventCore::Indexed => "indexed",
-        }
-    }
-}
-
-/// Outcome of [`EventQueue::pop_batch_within`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BatchStart {
-    /// No live events remain.
-    Empty,
-    /// The next event fires after the limit; the queue is untouched (the
-    /// clock does not advance) and the event's timestamp is reported.
-    Deferred(SimTime),
-    /// A batch was staged at the returned timestamp (clock advanced).
-    Started(SimTime),
+    slot: u32,
+    gen: u32,
 }
 
 /// Outcome of [`EventQueue::pop_within`].
@@ -99,19 +79,63 @@ pub enum PopNext<E> {
     Popped(SimTime, E),
 }
 
-// The wheel variant is ~5 KiB (inline slot heads and occupancy bitmaps)
-// against the heap's handful of `Vec`s, but a queue is created once per
-// simulation and never moved on the hot path — boxing it would buy
-// nothing and cost a pointer chase on every schedule/cancel/pop.
-#[allow(clippy::large_enum_variant)]
-enum Core<E> {
-    Wheel(wheel::WheelQueue<E>),
-    Indexed(indexed::IndexedQueue<E>),
+/// Where a slab node currently lives.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Loc {
+    /// On the free list (no event).
+    Free,
+    /// In wheel level `.0`, slot `.1`.
+    Slot(u8, u8),
+    /// On the far-future overflow list.
+    Overflow,
 }
 
-/// A deterministic future-event list.
+/// A slab node: the event plus its intrusive-list links.
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    gen: u32,
+    prev: u32,
+    next: u32,
+    loc: Loc,
+    event: Option<E>,
+}
+
+/// A deterministic future-event list. See the module docs for the layout.
 pub struct EventQueue<E> {
-    core: Core<E>,
+    /// Slab of nodes, indexed by `EventToken::slot`.
+    nodes: Vec<Node<E>>,
+    /// Free slab slots.
+    free: Vec<u32>,
+    /// Head of each slot's doubly-linked entry list.
+    heads: [[u32; SLOTS]; LEVELS],
+    /// Per-level slot-occupancy bitmaps.
+    occupied: [[u64; WORDS]; LEVELS],
+    /// Live entries per level.
+    level_len: [usize; LEVELS],
+    /// Head of the overflow list (events past level 3's horizon).
+    overflow_head: u32,
+    /// Entries on the overflow list.
+    overflow_len: usize,
+    /// Cached minimum `(time, seq, slab slot)` of the overflow list;
+    /// `None` iff the list is empty. Kept exact across inserts/removals so
+    /// an extraction compares the overflow against the wheel levels
+    /// without walking the list.
+    overflow_min: Option<(SimTime, u64, u32)>,
+    /// The wheel cursor, in ticks. Advances lazily, never past the
+    /// minimum live tick, so every live entry's tick is `>= cur_tick`.
+    cur_tick: u64,
+    /// Memoized result of the last cascade: the level-0 slot (at tick
+    /// `cur_tick`) holding the globally minimal live entry. Stays valid
+    /// across schedules — an event at the cursor tick files into this very
+    /// slot, and any later tick cannot beat it — and across removals that
+    /// leave the slot nonempty; only emptying the slot invalidates it. Lets
+    /// steady-state pops skip the per-level candidate scan.
+    min_slot: Option<u8>,
+    next_seq: u64,
+    now: SimTime,
+    /// Live entries in the wheel and overflow.
+    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -121,41 +145,32 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (timing-wheel) core with the
-    /// clock at zero.
+    /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_core(EventCore::default())
-    }
-
-    /// Creates an empty queue on an explicit core (differential testing
-    /// and benchmarking; production callers use [`EventQueue::new`]).
-    pub fn with_core(core: EventCore) -> Self {
         EventQueue {
-            core: match core {
-                EventCore::Wheel => Core::Wheel(wheel::WheelQueue::new()),
-                EventCore::Indexed => Core::Indexed(indexed::IndexedQueue::new()),
-            },
-        }
-    }
-
-    /// Which core backs this queue.
-    pub fn core(&self) -> EventCore {
-        match &self.core {
-            Core::Wheel(_) => EventCore::Wheel,
-            Core::Indexed(_) => EventCore::Indexed,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            heads: [[NIL; SLOTS]; LEVELS],
+            occupied: [[0; WORDS]; LEVELS],
+            level_len: [0; LEVELS],
+            overflow_head: NIL,
+            overflow_len: 0,
+            overflow_min: None,
+            cur_tick: 0,
+            min_slot: None,
+            next_seq: 0,
+            now: SimTime::ZERO,
+            live: 0,
         }
     }
 
     /// The current virtual time: the timestamp of the most recently popped
-    /// event or staged batch (zero before the first pop).
+    /// event (zero before the first pop).
     pub fn now(&self) -> SimTime {
-        match &self.core {
-            Core::Wheel(q) => q.now(),
-            Core::Indexed(q) => q.now(),
-        }
+        self.now
     }
 
-    /// Schedules `event` to fire at `time`.
+    /// Schedules `event` to fire at `time`; O(1).
     ///
     /// `time` may equal the current time (the event fires "immediately",
     /// after already-queued events at the same instant), but must not be in
@@ -166,145 +181,499 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is before the current time; scheduling into the past
     /// indicates a bug in the caller.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventToken {
-        match &mut self.core {
-            Core::Wheel(q) => q.schedule(time, event),
-            Core::Indexed(q) => q.schedule(time, event),
+        assert!(
+            time >= self.now,
+            "scheduled event in the past: {time} < now {}",
+            self.now
+        );
+        let tick = time.as_nanos() >> GRAN_SHIFT;
+        if tick < self.cur_tick {
+            self.rewind(tick);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let idx = self.alloc(time, seq, event);
+        self.place(idx);
+        self.live += 1;
+        EventToken {
+            slot: idx,
+            gen: self.nodes[idx as usize].gen,
         }
     }
 
-    /// Cancels a previously scheduled event, removing it eagerly (O(1) on
-    /// the wheel, O(log n) on the indexed heap).
+    /// Cancels a previously scheduled event, removing it eagerly; O(1).
     ///
     /// Cancelling an event that already fired (or was already cancelled) is
     /// a no-op; this makes preemption paths simpler for callers. Returns
-    /// whether a live event was actually removed. An event staged by
-    /// [`EventQueue::pop_batch`] but not yet delivered counts as live:
-    /// cancelling it returns `true` and suppresses its delivery.
+    /// whether a live event was actually removed.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        match &mut self.core {
-            Core::Wheel(q) => q.cancel(token),
-            Core::Indexed(q) => q.cancel(token),
+        let Some(node) = self.nodes.get(token.slot as usize) else {
+            return false;
+        };
+        if node.gen != token.gen || node.event.is_none() {
+            return false; // stale token: already fired or cancelled
         }
+        self.unlink(token.slot);
+        self.live -= 1;
+        self.free_node(token.slot);
+        true
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
-    ///
-    /// Returns `None` when no live events remain. If a staged batch is
-    /// pending (see [`EventQueue::pop_batch`]), its entries are served
-    /// first — `pop` and the batch API interleave safely.
+    /// Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.core {
-            Core::Wheel(q) => q.pop(),
-            Core::Indexed(q) => q.pop(),
+        match self.pop_within(SimTime::MAX) {
+            PopNext::Popped(time, ev) => Some((time, ev)),
+            PopNext::Empty => None,
+            PopNext::Deferred(_) => unreachable!("no event fires after SimTime::MAX"),
         }
     }
 
-    /// Stages every event at the next timestamp — one simultaneity class —
-    /// for delivery via [`EventQueue::batch_pop`], advancing the clock to
-    /// that timestamp and returning it.
-    ///
-    /// Returns `None` when no live events remain. The previous batch must
-    /// be fully drained first. Events scheduled while the batch drains
-    /// (even at the same timestamp) form the next batch, so delivery
-    /// order is identical to repeated [`EventQueue::pop`].
-    pub fn pop_batch(&mut self) -> Option<SimTime> {
-        match &mut self.core {
-            Core::Wheel(q) => q.pop_batch(),
-            Core::Indexed(q) => q.pop_batch(),
-        }
-    }
-
-    /// Fused peek + [`EventQueue::pop_batch`]: stages the next simultaneity
-    /// class only if it fires at or before `limit`.
-    ///
-    /// A step loop with a run-limit check would otherwise pay a
-    /// [`EventQueue::peek_time`] followed by a [`EventQueue::pop_batch`] —
-    /// two scans of the queue head per batch. [`BatchStart::Deferred`]
-    /// leaves the queue (and the clock) untouched, so a caller that stops
-    /// on it observes exactly the state a peek-then-return would have left.
-    pub fn pop_batch_within(&mut self, limit: SimTime) -> BatchStart {
-        match &mut self.core {
-            Core::Wheel(q) => q.pop_batch_within(limit),
-            Core::Indexed(q) => q.pop_batch_within(limit),
-        }
-    }
-
-    /// Fused peek + single-event pop: delivers the next live event if it
-    /// fires at or before `limit`, otherwise [`PopNext::Deferred`] leaves
-    /// the queue (and clock) untouched.
-    ///
-    /// Delivery order is the same strict `(time, seq)` order as every
-    /// other extraction path, so a step loop built on this is
-    /// byte-identical to one built on the batch API — without paying the
-    /// staging machinery (slot walks, sequence sort, staging deque) on
-    /// every simultaneity class of size one, which is the dominant case
-    /// in system runs. Pending staged entries are served first, so the
-    /// two APIs interleave safely.
+    /// Fused peek + pop: delivers the next live event if it fires at or
+    /// before `limit`, otherwise [`PopNext::Deferred`] leaves the queue
+    /// (and clock) untouched — only the internal cascade may have run,
+    /// which is unobservable. A run loop applies its time limit with this
+    /// one call instead of a peek followed by a pop.
     pub fn pop_within(&mut self, limit: SimTime) -> PopNext<E> {
-        match &mut self.core {
-            Core::Wheel(q) => q.pop_within(limit),
-            Core::Indexed(q) => q.pop_within(limit),
+        let Some(slot) = self.prepare_min() else {
+            return PopNext::Empty;
+        };
+        let best = self.slot_min(slot);
+        let time = self.nodes[best as usize].time;
+        if time > limit {
+            return PopNext::Deferred(time);
         }
+        self.unlink(best);
+        self.live -= 1;
+        let ev = self.free_node(best);
+        debug_assert!(time >= self.now, "event queue time inversion");
+        self.now = time;
+        PopNext::Popped(time, ev)
     }
 
-    /// Delivers the next event of the staged batch in `(time, seq)` order,
-    /// skipping entries cancelled since staging. `None` once the batch is
-    /// drained.
-    pub fn batch_pop(&mut self) -> Option<E> {
-        match &mut self.core {
-            Core::Wheel(q) => q.batch_pop(),
-            Core::Indexed(q) => q.batch_pop(),
-        }
-    }
-
-    /// Timestamp of the next live event without popping it, if any.
-    ///
-    /// Immutable: O(1) on the indexed heap; on the wheel, a bounded
-    /// candidate-slot scan (no cascading).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.core {
-            Core::Wheel(q) => q.peek_time(),
-            Core::Indexed(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of pending events: entries scheduled (or staged by
-    /// [`EventQueue::pop_batch`]) and neither fired nor cancelled.
-    ///
-    /// Exact on both cores — cancellation removes entries immediately, so
-    /// cancelled-but-unreaped corpses are never counted (only the retained
-    /// [`lazy`] baseline keeps corpses, and it deliberately exposes no
-    /// `len`).
+    /// Number of pending events: scheduled and neither fired nor
+    /// cancelled. Exact: cancellation removes entries immediately.
     pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Wheel(q) => q.len(),
-            Core::Indexed(q) => q.len(),
-        }
+        self.live
     }
 
-    /// Number of live events; alias of [`EventQueue::len`], kept distinct
-    /// in the API so callers written against the old lazy-cancel design
-    /// (where `len` would have counted corpses awaiting reap) read
-    /// unambiguously. Both counts always exclude cancelled entries.
-    pub fn live_len(&self) -> usize {
-        self.len()
-    }
-
-    /// True if no live events are scheduled or staged.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        match &self.core {
-            Core::Wheel(q) => q.is_empty(),
-            Core::Indexed(q) => q.is_empty(),
+        self.live == 0
+    }
+
+    // ---- slab ----------------------------------------------------------
+
+    /// Allocates a slab node for `event`, reusing the free list.
+    fn alloc(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
+        match self.free.pop() {
+            Some(idx) => {
+                let n = &mut self.nodes[idx as usize];
+                debug_assert!(n.event.is_none(), "free-list slot holds an event");
+                n.time = time;
+                n.seq = seq;
+                n.event = Some(event);
+                idx
+            }
+            None => {
+                let idx = self.nodes.len() as u32;
+                self.nodes.push(Node {
+                    time,
+                    seq,
+                    gen: 0,
+                    prev: NIL,
+                    next: NIL,
+                    loc: Loc::Free,
+                    event: Some(event),
+                });
+                idx
+            }
         }
     }
 
-    /// Validates the active core's structural invariants (test support).
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self) {
-        match &self.core {
-            Core::Wheel(q) => q.check_invariants(),
-            Core::Indexed(q) => q.check_invariants(),
+    /// Takes the event out of `idx`, bumps the generation (invalidating
+    /// outstanding tokens), and returns the slot to the free list.
+    fn free_node(&mut self, idx: u32) -> E {
+        let n = &mut self.nodes[idx as usize];
+        n.gen = n.gen.wrapping_add(1);
+        n.loc = Loc::Free;
+        n.prev = NIL;
+        n.next = NIL;
+        let ev = n.event.take().expect("freed a dead wheel entry");
+        self.free.push(idx);
+        ev
+    }
+
+    // ---- wheel placement -----------------------------------------------
+
+    /// Files `idx` into the finest level whose window reaches its tick,
+    /// or the overflow list beyond level 3's horizon.
+    fn place(&mut self, idx: u32) {
+        let tick = self.nodes[idx as usize].time.as_nanos() >> GRAN_SHIFT;
+        debug_assert!(tick >= self.cur_tick, "placing an event behind the cursor");
+        let mut k = 0;
+        loop {
+            let shift = k as u32 * LEVEL_BITS;
+            if (tick >> shift) - (self.cur_tick >> shift) < SLOTS as u64 {
+                let slot = ((tick >> shift) & (SLOTS as u64 - 1)) as usize;
+                self.push_slot(k, slot, idx);
+                return;
+            }
+            k += 1;
+            if k == LEVELS {
+                self.push_overflow(idx);
+                return;
+            }
         }
+    }
+
+    /// Moves the cursor back to `tick` and re-files every live entry
+    /// relative to it. Needed only when a [`EventQueue::pop_within`] that
+    /// deferred past its limit had cascaded the cursor ahead of the clock
+    /// and a caller then schedules between the two — a run stopped mid-way
+    /// and acted on. O(live); a run loop that only schedules at or after
+    /// its last delivery never gets here.
+    #[cold]
+    fn rewind(&mut self, tick: u64) {
+        let mut entries = Vec::with_capacity(self.live);
+        for level in 0..LEVELS {
+            for head in &mut self.heads[level] {
+                let mut idx = std::mem::replace(head, NIL);
+                while idx != NIL {
+                    entries.push(idx);
+                    idx = self.nodes[idx as usize].next;
+                }
+            }
+            self.occupied[level] = [0; WORDS];
+            self.level_len[level] = 0;
+        }
+        let mut idx = std::mem::replace(&mut self.overflow_head, NIL);
+        while idx != NIL {
+            entries.push(idx);
+            idx = self.nodes[idx as usize].next;
+        }
+        self.overflow_len = 0;
+        self.overflow_min = None;
+        self.min_slot = None;
+        self.cur_tick = tick;
+        for idx in entries {
+            self.place(idx);
+        }
+    }
+
+    /// Links `idx` at the head of `level`/`slot`.
+    fn push_slot(&mut self, level: usize, slot: usize, idx: u32) {
+        let head = self.heads[level][slot];
+        {
+            let n = &mut self.nodes[idx as usize];
+            n.prev = NIL;
+            n.next = head;
+            n.loc = Loc::Slot(level as u8, slot as u8);
+        }
+        if head != NIL {
+            self.nodes[head as usize].prev = idx;
+        }
+        self.heads[level][slot] = idx;
+        self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
+        self.level_len[level] += 1;
+    }
+
+    /// Links `idx` at the head of the overflow list.
+    fn push_overflow(&mut self, idx: u32) {
+        let head = self.overflow_head;
+        let key = {
+            let n = &mut self.nodes[idx as usize];
+            n.prev = NIL;
+            n.next = head;
+            n.loc = Loc::Overflow;
+            (n.time, n.seq)
+        };
+        if head != NIL {
+            self.nodes[head as usize].prev = idx;
+        }
+        self.overflow_head = idx;
+        self.overflow_len += 1;
+        match self.overflow_min {
+            Some((t, s, _)) if (t, s) < key => {}
+            _ => self.overflow_min = Some((key.0, key.1, idx)),
+        }
+    }
+
+    /// Unlinks `idx` from its wheel slot or the overflow list.
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next, loc) = {
+            let n = &self.nodes[idx as usize];
+            (n.prev, n.next, n.loc)
+        };
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
+        }
+        match loc {
+            Loc::Slot(level, slot) => {
+                let (level, slot) = (level as usize, slot as usize);
+                if prev == NIL {
+                    self.heads[level][slot] = next;
+                    if next == NIL {
+                        self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
+                        if level == 0 && self.min_slot == Some(slot as u8) {
+                            self.min_slot = None;
+                        }
+                    }
+                }
+                self.level_len[level] -= 1;
+            }
+            Loc::Overflow => {
+                if prev == NIL {
+                    self.overflow_head = next;
+                }
+                self.overflow_len -= 1;
+                if self.overflow_min.is_some_and(|(_, _, mi)| mi == idx) {
+                    self.overflow_min = self.scan_overflow_min();
+                }
+            }
+            Loc::Free => unreachable!("unlink of an unlinked entry"),
+        }
+    }
+
+    /// Recomputes the overflow minimum by walking the list (removal of the
+    /// cached minimum only — the list is rarely populated at all).
+    fn scan_overflow_min(&self) -> Option<(SimTime, u64, u32)> {
+        let mut best: Option<(SimTime, u64, u32)> = None;
+        let mut idx = self.overflow_head;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            if best.is_none_or(|(t, s, _)| (n.time, n.seq) < (t, s)) {
+                best = Some((n.time, n.seq, idx));
+            }
+            idx = n.next;
+        }
+        best
+    }
+
+    // ---- extraction ----------------------------------------------------
+
+    /// First occupied slot of `level` in circular order from the cursor,
+    /// with its absolute level-tick. `None` if the level is empty.
+    fn candidate(&self, level: usize) -> Option<(usize, u64)> {
+        if self.level_len[level] == 0 {
+            return None;
+        }
+        let cur = self.cur_tick >> (level as u32 * LEVEL_BITS);
+        let slot = self.scan_from(level, (cur & (SLOTS as u64 - 1)) as usize);
+        // Recover the absolute level-tick: the unique value >= cur (the
+        // cursor never passes a live entry) within one turn of the wheel.
+        let mut l_tick = (cur & !(SLOTS as u64 - 1)) + slot as u64;
+        if l_tick < cur {
+            l_tick += SLOTS as u64;
+        }
+        Some((slot, l_tick))
+    }
+
+    /// First occupied slot of `level` scanning circularly from `start`.
+    /// The level must be nonempty.
+    fn scan_from(&self, level: usize, start: usize) -> usize {
+        let bm = &self.occupied[level];
+        let w0 = start / 64;
+        let b0 = (start % 64) as u32;
+        let first = (bm[w0] >> b0) << b0; // mask off bits below start
+        if first != 0 {
+            return w0 * 64 + first.trailing_zeros() as usize;
+        }
+        for step in 1..WORDS {
+            let w = (w0 + step) % WORDS;
+            if bm[w] != 0 {
+                return w * 64 + bm[w].trailing_zeros() as usize;
+            }
+        }
+        let low = if b0 == 0 {
+            0
+        } else {
+            bm[w0] & ((1u64 << b0) - 1)
+        };
+        if low != 0 {
+            return w0 * 64 + low.trailing_zeros() as usize;
+        }
+        unreachable!("scan_from on an empty level")
+    }
+
+    /// Cascades until the globally minimal live event sits in level 0,
+    /// returning its slot; advances the cursor lazily. `None` if nothing
+    /// is live. Amortized O(1): every cascade drops its entries at least
+    /// one level.
+    fn prepare_min(&mut self) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
+        if let Some(slot) = self.min_slot {
+            return Some(slot as usize);
+        }
+        loop {
+            // Minimum slot-start in ticks across levels and overflow.
+            // `<=` keeps the *coarsest* holder on ties, so same-tick
+            // events merge into level 0 before any delivery.
+            let mut best_start = u64::MAX;
+            let mut best_level = usize::MAX;
+            let mut best_slot = 0usize;
+            for k in 0..LEVELS {
+                if let Some((slot, l_tick)) = self.candidate(k) {
+                    let start = l_tick << (k as u32 * LEVEL_BITS);
+                    if start <= best_start {
+                        best_start = start;
+                        best_level = k;
+                        best_slot = slot;
+                    }
+                }
+            }
+            if let Some((t, _, _)) = self.overflow_min {
+                let tick = t.as_nanos() >> GRAN_SHIFT;
+                if tick <= best_start {
+                    best_start = tick;
+                    best_level = LEVELS;
+                }
+            }
+            debug_assert_ne!(best_level, usize::MAX, "live count drifted");
+            // Lazy cursor advance — never past the minimum live tick.
+            // (A candidate start can sit below the cursor when it is the
+            // cursor's own partially-elapsed coarse slot; never move back.)
+            if best_start > self.cur_tick {
+                self.cur_tick = best_start;
+            }
+            if best_level == 0 {
+                self.min_slot = Some(best_slot as u8);
+                return Some(best_slot);
+            }
+            if best_level == LEVELS {
+                self.cascade_overflow();
+            } else {
+                self.cascade_slot(best_level, best_slot);
+            }
+        }
+    }
+
+    /// Empties `level`/`slot`, re-placing every entry (each lands at least
+    /// one level finer — see the module docs).
+    fn cascade_slot(&mut self, level: usize, slot: usize) {
+        let mut idx = self.heads[level][slot];
+        self.heads[level][slot] = NIL;
+        self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            self.level_len[level] -= 1;
+            self.place(idx);
+            idx = next;
+        }
+    }
+
+    /// Re-places every overflow entry; those still beyond the horizon
+    /// rejoin the (rebuilt) overflow list.
+    fn cascade_overflow(&mut self) {
+        let mut idx = self.overflow_head;
+        self.overflow_head = NIL;
+        self.overflow_len = 0;
+        self.overflow_min = None;
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            self.place(idx);
+            idx = next;
+        }
+    }
+
+    /// The entry with minimal `(time, seq)` in level-0 `slot` (nonempty).
+    fn slot_min(&self, slot: usize) -> u32 {
+        let mut idx = self.heads[0][slot];
+        debug_assert_ne!(idx, NIL, "slot_min on an empty slot");
+        let mut best = idx;
+        let mut best_key = {
+            let n = &self.nodes[idx as usize];
+            (n.time, n.seq)
+        };
+        idx = self.nodes[idx as usize].next;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            if (n.time, n.seq) < best_key {
+                best = idx;
+                best_key = (n.time, n.seq);
+            }
+            idx = n.next;
+        }
+        best
+    }
+
+    /// Validates every structural invariant (test support).
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        let mut live = 0usize;
+        for level in 0..LEVELS {
+            let mut count = 0usize;
+            for slot in 0..SLOTS {
+                let bit = self.occupied[level][slot / 64] & (1u64 << (slot % 64)) != 0;
+                assert_eq!(
+                    bit,
+                    self.heads[level][slot] != NIL,
+                    "bitmap drift at L{level}[{slot}]"
+                );
+                let mut idx = self.heads[level][slot];
+                let mut prev = NIL;
+                while idx != NIL {
+                    let n = &self.nodes[idx as usize];
+                    assert_eq!(n.prev, prev, "broken prev link at slab {idx}");
+                    assert_eq!(n.loc, Loc::Slot(level as u8, slot as u8), "loc drift");
+                    assert!(n.event.is_some(), "dead entry linked in wheel");
+                    let tick = n.time.as_nanos() >> GRAN_SHIFT;
+                    assert!(tick >= self.cur_tick, "entry behind the cursor");
+                    let shift = level as u32 * LEVEL_BITS;
+                    assert_eq!(
+                        ((tick >> shift) & (SLOTS as u64 - 1)) as usize,
+                        slot,
+                        "entry filed in the wrong slot"
+                    );
+                    assert!(
+                        (tick >> shift) - (self.cur_tick >> shift) < SLOTS as u64,
+                        "entry outside its level's window"
+                    );
+                    count += 1;
+                    prev = idx;
+                    idx = n.next;
+                }
+            }
+            assert_eq!(count, self.level_len[level], "level_len drift at {level}");
+            live += count;
+        }
+        if let Some(slot) = self.min_slot {
+            assert_eq!(
+                slot as u64,
+                self.cur_tick & (SLOTS as u64 - 1),
+                "min-slot cache off the cursor tick"
+            );
+            assert_ne!(
+                self.heads[0][slot as usize], NIL,
+                "min-slot cache points at an empty slot"
+            );
+        }
+        let mut oc = 0usize;
+        let mut idx = self.overflow_head;
+        let mut prev = NIL;
+        let mut omin: Option<(SimTime, u64, u32)> = None;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            assert_eq!(n.prev, prev, "broken overflow prev link");
+            assert_eq!(n.loc, Loc::Overflow, "overflow loc drift");
+            assert!(n.event.is_some(), "dead entry on overflow list");
+            if omin.is_none_or(|(t, s, _)| (n.time, n.seq) < (t, s)) {
+                omin = Some((n.time, n.seq, idx));
+            }
+            oc += 1;
+            prev = idx;
+            idx = n.next;
+        }
+        assert_eq!(oc, self.overflow_len, "overflow_len drift");
+        assert_eq!(self.overflow_min, omin, "overflow min cache drift");
+        live += oc;
+        assert_eq!(live, self.live, "live count drift");
+        assert_eq!(self.live + self.free.len(), self.nodes.len(), "slab leak");
     }
 }
 
@@ -317,142 +686,108 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    /// Runs a closure against a fresh queue on each core.
-    fn on_both_cores(f: impl Fn(EventQueue<i32>)) {
-        f(EventQueue::with_core(EventCore::Wheel));
-        f(EventQueue::with_core(EventCore::Indexed));
-    }
-
-    #[test]
-    fn default_core_is_wheel() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.core(), EventCore::Wheel);
-        assert_eq!(q.core().name(), "wheel");
-    }
-
     #[test]
     fn pops_in_time_order() {
-        on_both_cores(|mut q| {
-            q.schedule(t(30), 3);
-            q.schedule(t(10), 1);
-            q.schedule(t(20), 2);
-            assert_eq!(q.pop(), Some((t(10), 1)));
-            assert_eq!(q.pop(), Some((t(20), 2)));
-            assert_eq!(q.pop(), Some((t(30), 3)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(t(30), 3);
+        q.schedule(t(10), 1);
+        q.schedule(t(20), 2);
+        assert_eq!(q.pop(), Some((t(10), 1)));
+        assert_eq!(q.pop(), Some((t(20), 2)));
+        assert_eq!(q.pop(), Some((t(30), 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_schedule_order() {
-        on_both_cores(|mut q| {
-            q.schedule(t(5), 1);
-            q.schedule(t(5), 2);
-            q.schedule(t(5), 3);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(t(5), 1);
+        q.schedule(t(5), 2);
+        q.schedule(t(5), 3);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 3);
     }
 
     #[test]
     fn sub_tick_times_order_within_a_slot() {
         // 512 ns wheel tick: distinct nanosecond timestamps sharing a tick
         // must still pop in time order, not insertion order.
-        on_both_cores(|mut q| {
-            q.schedule(SimTime::from_nanos(300), 3);
-            q.schedule(SimTime::from_nanos(100), 1);
-            q.schedule(SimTime::from_nanos(200), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(200), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(300), 3)));
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(300), 3);
+        q.schedule(SimTime::from_nanos(100), 1);
+        q.schedule(SimTime::from_nanos(200), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(200), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(300), 3)));
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), t(10));
-        });
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), t(10));
     }
 
     #[test]
     fn cancel_suppresses_event() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), -1);
-            q.schedule(t(20), 1);
-            assert!(q.cancel(tok));
-            assert_eq!(q.pop(), Some((t(20), 1)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let tok = q.schedule(t(10), -1);
+        q.schedule(t(20), 1);
+        assert!(q.cancel(tok));
+        assert_eq!(q.pop(), Some((t(20), 1)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), 0);
-            assert!(q.pop().is_some());
-            assert!(!q.cancel(tok));
-            q.schedule(t(20), 0);
-            assert!(q.pop().is_some());
-        });
+        let mut q = EventQueue::new();
+        let tok = q.schedule(t(10), 0);
+        assert!(q.pop().is_some());
+        assert!(!q.cancel(tok));
+        q.schedule(t(20), 0);
+        assert!(q.pop().is_some());
     }
 
     #[test]
     fn double_cancel_is_noop() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), 1);
-            assert!(q.cancel(tok));
-            assert!(!q.cancel(tok));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let tok = q.schedule(t(10), 1);
+        assert!(q.cancel(tok));
+        assert!(!q.cancel(tok));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn stale_token_cannot_cancel_reused_slot() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), 1);
-            q.cancel(tok);
-            // The slab slot is reused for the next event; the stale token's
-            // generation no longer matches.
-            q.schedule(t(20), 2);
-            assert!(!q.cancel(tok));
-            assert_eq!(q.pop(), Some((t(20), 2)));
-        });
-    }
-
-    #[test]
-    fn peek_is_live_and_immutable() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), 0);
-            q.schedule(t(20), 0);
-            q.cancel(tok);
-            let q_ref = &q; // immutable peek
-            assert_eq!(q_ref.peek_time(), Some(t(20)));
-        });
+        let mut q = EventQueue::new();
+        let tok = q.schedule(t(10), 1);
+        q.cancel(tok);
+        // The slab slot is reused for the next event; the stale token's
+        // generation no longer matches.
+        q.schedule(t(20), 2);
+        assert!(!q.cancel(tok));
+        assert_eq!(q.pop(), Some((t(20), 2)));
     }
 
     #[test]
     fn len_is_exact_under_cancellation() {
-        on_both_cores(|mut q| {
-            let a = q.schedule(t(10), 0);
-            let b = q.schedule(t(20), 0);
-            q.schedule(t(30), 0);
-            assert_eq!(q.len(), 3);
-            q.cancel(a);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.live_len(), 2);
-            q.cancel(b);
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-            q.check_invariants();
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(10), 0);
+        let b = q.schedule(t(20), 0);
+        q.schedule(t(30), 0);
+        assert_eq!(q.len(), 3);
+        q.cancel(a);
+        assert_eq!(q.len(), 2);
+        q.cancel(b);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        q.check_invariants();
     }
 
     #[test]
@@ -465,34 +800,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduled event in the past")]
-    fn scheduling_in_the_past_panics_indexed() {
-        let mut q = EventQueue::with_core(EventCore::Indexed);
-        q.schedule(t(10), ());
-        q.pop();
-        q.schedule(t(5), ());
-    }
-
-    #[test]
     fn same_instant_as_now_is_allowed() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            q.pop();
-            q.schedule(q.now(), 2);
-            assert_eq!(q.pop(), Some((t(10), 2)));
-        });
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 1);
+        q.pop();
+        q.schedule(q.now(), 2);
+        assert_eq!(q.pop(), Some((t(10), 2)));
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            let (now, _) = q.pop().unwrap();
-            q.schedule(now + SimDuration::from_micros(5), 2);
-            q.schedule(now + SimDuration::from_micros(1), 3);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 2);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 1);
+        let (now, _) = q.pop().unwrap();
+        q.schedule(now + SimDuration::from_micros(5), 2);
+        q.schedule(now + SimDuration::from_micros(1), 3);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 2);
     }
 
     #[test]
@@ -501,35 +825,34 @@ mod tests {
         // is ~37 virtual minutes; 2 hours lands in overflow), scheduled in
         // reverse order; they must pop sorted, cascading down as the
         // cursor advances.
-        on_both_cores(|mut q| {
-            let hours2 = SimTime::from_millis(2 * 60 * 60 * 1000);
-            let times = [
-                hours2,                       // overflow
-                SimTime::from_millis(60_000), // L3 (1 min)
-                SimTime::from_millis(1_000),  // L2 (1 s)
-                SimTime::from_micros(5_000),  // L1 (5 ms)
-                SimTime::from_nanos(50_000),  // L0 (50 µs)
-            ];
-            for (i, &at) in times.iter().enumerate() {
-                q.schedule(at, i as i32);
-            }
+        let mut q = EventQueue::new();
+        let hours2 = SimTime::from_millis(2 * 60 * 60 * 1000);
+        let times = [
+            hours2,                       // overflow
+            SimTime::from_millis(60_000), // L3 (1 min)
+            SimTime::from_millis(1_000),  // L2 (1 s)
+            SimTime::from_micros(5_000),  // L1 (5 ms)
+            SimTime::from_nanos(50_000),  // L0 (50 µs)
+        ];
+        for (i, &at) in times.iter().enumerate() {
+            q.schedule(at, i as i32);
+        }
+        q.check_invariants();
+        let mut got = Vec::new();
+        while let Some((at, v)) = q.pop() {
+            got.push((at, v));
             q.check_invariants();
-            let mut got = Vec::new();
-            while let Some((at, v)) = q.pop() {
-                got.push((at, v));
-                q.check_invariants();
-            }
-            assert_eq!(
-                got,
-                vec![
-                    (times[4], 4),
-                    (times[3], 3),
-                    (times[2], 2),
-                    (times[1], 1),
-                    (times[0], 0),
-                ]
-            );
-        });
+        }
+        assert_eq!(
+            got,
+            vec![
+                (times[4], 4),
+                (times[3], 3),
+                (times[2], 2),
+                (times[1], 1),
+                (times[0], 0),
+            ]
+        );
     }
 
     #[test]
@@ -538,186 +861,94 @@ mod tests {
         // events scheduled much later in wall order but earlier in time,
         // including one landing in the same tick after the cursor has
         // advanced a long way.
-        on_both_cores(|mut q| {
-            let far = SimTime::from_millis(3 * 60 * 60 * 1000); // 3 h: overflow
-            let tok = q.schedule(far, 99);
-            q.schedule(t(10), 1);
-            assert_eq!(q.pop(), Some((t(10), 1)));
-            // Now close to `far` from the wheel's perspective: schedule an
-            // event just before it and one in the same tick just after it.
-            q.schedule(far + SimDuration::from_nanos(5), 101);
-            let before = SimTime::from_nanos(far.as_nanos() - 100_000);
-            q.schedule(before, 100);
-            q.check_invariants();
-            assert_eq!(q.pop(), Some((before, 100)));
-            assert_eq!(q.pop(), Some((far, 99)));
-            assert_eq!(q.pop(), Some((far + SimDuration::from_nanos(5), 101)));
-            assert!(!q.cancel(tok));
-        });
+        let mut q = EventQueue::new();
+        let far = SimTime::from_millis(3 * 60 * 60 * 1000); // 3 h: overflow
+        let tok = q.schedule(far, 99);
+        q.schedule(t(10), 1);
+        assert_eq!(q.pop(), Some((t(10), 1)));
+        // Now close to `far` from the wheel's perspective: schedule an
+        // event just before it and one in the same tick just after it.
+        q.schedule(far + SimDuration::from_nanos(5), 101);
+        let before = SimTime::from_nanos(far.as_nanos() - 100_000);
+        q.schedule(before, 100);
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((before, 100)));
+        assert_eq!(q.pop(), Some((far, 99)));
+        assert_eq!(q.pop(), Some((far + SimDuration::from_nanos(5), 101)));
+        assert!(!q.cancel(tok));
     }
 
     #[test]
     fn cancel_far_future_overflow_event() {
-        on_both_cores(|mut q| {
-            let far = SimTime::from_millis(5 * 60 * 60 * 1000);
-            let a = q.schedule(far, 1);
-            let b = q.schedule(far + SimDuration::from_micros(1), 2);
-            q.schedule(t(1), 0);
-            q.check_invariants();
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a));
-            q.check_invariants();
-            assert_eq!(q.pop(), Some((t(1), 0)));
-            assert_eq!(q.pop(), Some((far + SimDuration::from_micros(1), 2)));
-            assert_eq!(q.pop(), None);
-            assert!(!q.cancel(b));
-        });
+        let mut q = EventQueue::new();
+        let far = SimTime::from_millis(5 * 60 * 60 * 1000);
+        let a = q.schedule(far, 1);
+        let b = q.schedule(far + SimDuration::from_micros(1), 2);
+        q.schedule(t(1), 0);
+        q.check_invariants();
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a));
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((t(1), 0)));
+        assert_eq!(q.pop(), Some((far + SimDuration::from_micros(1), 2)));
+        assert_eq!(q.pop(), None);
+        assert!(!q.cancel(b));
     }
 
     #[test]
     fn heavy_cancel_mix_keeps_invariants() {
-        on_both_cores(|mut q| {
-            let mut tokens = Vec::new();
-            for i in 0..500u64 {
-                tokens.push(q.schedule(t(i * 7919 % 1000 + 1000), i as i32));
+        let mut q = EventQueue::new();
+        let mut tokens = Vec::new();
+        for i in 0..500u64 {
+            tokens.push(q.schedule(t(i * 7919 % 1000 + 1000), i as i32));
+        }
+        // Cancel every third, pop a third, reschedule more.
+        for (i, tok) in tokens.iter().enumerate() {
+            if i % 3 == 0 {
+                q.cancel(*tok);
             }
-            // Cancel every third, pop a third, reschedule more.
-            for (i, tok) in tokens.iter().enumerate() {
-                if i % 3 == 0 {
-                    q.cancel(*tok);
-                }
-            }
-            q.check_invariants();
-            for _ in 0..150 {
-                q.pop();
-            }
-            q.check_invariants();
-            for i in 0..200u64 {
-                q.schedule(
-                    q.now() + SimDuration::from_micros(i % 37 + 1),
-                    1000 + i as i32,
-                );
-            }
-            q.check_invariants();
-            let mut last = SimTime::ZERO;
-            while let Some((at, _)) = q.pop() {
-                assert!(at >= last);
-                last = at;
-            }
-            assert!(q.is_empty());
-            q.check_invariants();
-        });
-    }
-
-    // ---- batch API -----------------------------------------------------
-
-    #[test]
-    fn pop_batch_stages_one_simultaneity_class() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            q.schedule(t(10), 2);
-            q.schedule(t(20), 3);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.now(), t(10));
-            assert_eq!(q.len(), 3); // staged entries still count
-            assert_eq!(q.peek_time(), Some(t(10)));
-            assert_eq!(q.batch_pop(), Some(1));
-            assert_eq!(q.batch_pop(), Some(2));
-            assert_eq!(q.batch_pop(), None);
-            assert_eq!(q.pop_batch(), Some(t(20)));
-            assert_eq!(q.batch_pop(), Some(3));
-            assert_eq!(q.batch_pop(), None);
-            assert_eq!(q.pop_batch(), None);
-        });
+        }
+        q.check_invariants();
+        for _ in 0..150 {
+            q.pop();
+        }
+        q.check_invariants();
+        for i in 0..200u64 {
+            q.schedule(
+                q.now() + SimDuration::from_micros(i % 37 + 1),
+                1000 + i as i32,
+            );
+        }
+        q.check_invariants();
+        let mut last = SimTime::ZERO;
+        while let Some((at, _)) = q.pop() {
+            assert!(at >= last);
+            last = at;
+        }
+        assert!(q.is_empty());
+        q.check_invariants();
     }
 
     #[test]
-    fn batch_respects_schedule_order_and_new_same_time_events() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            q.schedule(t(10), 2);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.batch_pop(), Some(1));
-            // Scheduled mid-batch at the same instant: next batch, same t.
-            q.schedule(t(10), 3);
-            assert_eq!(q.batch_pop(), Some(2));
-            assert_eq!(q.batch_pop(), None);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.batch_pop(), Some(3));
-            assert_eq!(q.batch_pop(), None);
-        });
-    }
-
-    #[test]
-    fn cancel_of_staged_event_suppresses_delivery() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            let tok = q.schedule(t(10), 2);
-            q.schedule(t(10), 3);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.batch_pop(), Some(1));
-            // Cancelling a staged, undelivered event is a live cancel.
-            assert!(q.cancel(tok));
-            assert!(!q.cancel(tok));
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.batch_pop(), Some(3));
-            assert_eq!(q.batch_pop(), None);
-            q.check_invariants();
-        });
-    }
-
-    #[test]
-    fn staged_slot_reuse_cannot_confuse_the_batch() {
-        on_both_cores(|mut q| {
-            let tok = q.schedule(t(10), 1);
-            q.schedule(t(10), 2);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            // Cancel the first staged entry, then reuse its slab slot for a
-            // new event at the same instant: the stale deque entry must not
-            // deliver the newcomer early.
-            assert!(q.cancel(tok));
-            q.schedule(t(10), 7);
-            assert_eq!(q.batch_pop(), Some(2));
-            assert_eq!(q.batch_pop(), None);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.batch_pop(), Some(7));
-            q.check_invariants();
-        });
-    }
-
-    #[test]
-    fn pop_drains_staged_entries_first() {
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            q.schedule(t(10), 2);
-            q.schedule(t(20), 3);
-            assert_eq!(q.pop_batch(), Some(t(10)));
-            assert_eq!(q.pop(), Some((t(10), 1)));
-            assert_eq!(q.pop(), Some((t(10), 2)));
-            assert_eq!(q.pop(), Some((t(20), 3)));
-            assert_eq!(q.pop(), None);
-        });
-    }
-
-    #[test]
-    fn pop_batch_within_defers_without_touching_the_queue() {
-        on_both_cores(|mut q| {
-            assert_eq!(q.pop_batch_within(t(100)), BatchStart::Empty);
-            q.schedule(t(50), 1);
-            q.schedule(t(50), 2);
-            // Past the limit: reported but not staged, clock unmoved.
-            assert_eq!(q.pop_batch_within(t(40)), BatchStart::Deferred(t(50)));
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 2);
-            q.check_invariants();
-            // At the limit (inclusive): staged as a normal batch.
-            assert_eq!(q.pop_batch_within(t(50)), BatchStart::Started(t(50)));
-            assert_eq!(q.now(), t(50));
-            assert_eq!(q.batch_pop(), Some(1));
-            assert_eq!(q.batch_pop(), Some(2));
-            assert_eq!(q.batch_pop(), None);
-            assert_eq!(q.pop_batch_within(SimTime::MAX), BatchStart::Empty);
-        });
+    fn pop_within_defers_without_touching_the_queue() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_within(t(100)), PopNext::Empty);
+        let early = q.schedule(t(30), 0);
+        q.schedule(t(50), 1);
+        q.schedule(t(50), 2);
+        // A cancelled entry is never reported: the deferral names the
+        // next live event.
+        assert!(q.cancel(early));
+        // Past the limit: reported but not delivered, clock unmoved.
+        assert_eq!(q.pop_within(t(40)), PopNext::Deferred(t(50)));
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 2);
+        q.check_invariants();
+        // At the limit (inclusive): delivered in schedule order.
+        assert_eq!(q.pop_within(t(50)), PopNext::Popped(t(50), 1));
+        assert_eq!(q.now(), t(50));
+        assert_eq!(q.pop_within(t(50)), PopNext::Popped(t(50), 2));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Empty);
     }
 
     #[test]
@@ -726,57 +957,25 @@ mod tests {
         // may have cascaded the wheel ahead of the clock, and events
         // scheduled between the clock and the deferred event must still
         // come out first, in order.
-        on_both_cores(|mut q| {
-            q.schedule(t(10), 1);
-            q.schedule(t(40_000), 2);
-            q.schedule(t(3_000_000), 3);
-            assert_eq!(q.pop_within(t(100)), PopNext::Popped(t(10), 1));
-            assert_eq!(q.pop_within(t(100)), PopNext::Deferred(t(40_000)));
-            assert_eq!(q.now(), t(10));
-            q.schedule(t(10), 4);
-            q.schedule(t(20_000), 5);
-            q.check_invariants();
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(
-                order,
-                [
-                    (t(10), 4),
-                    (t(20_000), 5),
-                    (t(40_000), 2),
-                    (t(3_000_000), 3)
-                ]
-            );
-        });
-    }
-
-    #[test]
-    fn batch_equals_serial_pops_under_mixed_load() {
-        // The batch API must reproduce plain pop order exactly, including
-        // sub-tick time ordering inside one wheel slot.
-        let times: Vec<u64> = (0..400).map(|i| (i * 7919) % 700).collect();
-        let serial = {
-            let mut q = EventQueue::with_core(EventCore::Wheel);
-            for (i, &ns) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(ns), i as i32);
-            }
-            let mut got = Vec::new();
-            while let Some((at, v)) = q.pop() {
-                got.push((at, v));
-            }
-            got
-        };
-        for core in [EventCore::Wheel, EventCore::Indexed] {
-            let mut q = EventQueue::with_core(core);
-            for (i, &ns) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(ns), i as i32);
-            }
-            let mut got = Vec::new();
-            while let Some(t) = q.pop_batch() {
-                while let Some(v) = q.batch_pop() {
-                    got.push((t, v));
-                }
-            }
-            assert_eq!(got, serial, "batch order diverged on {:?}", core);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 1);
+        q.schedule(t(40_000), 2);
+        q.schedule(t(3_000_000), 3);
+        assert_eq!(q.pop_within(t(100)), PopNext::Popped(t(10), 1));
+        assert_eq!(q.pop_within(t(100)), PopNext::Deferred(t(40_000)));
+        assert_eq!(q.now(), t(10));
+        q.schedule(t(10), 4);
+        q.schedule(t(20_000), 5);
+        q.check_invariants();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (t(10), 4),
+                (t(20_000), 5),
+                (t(40_000), 2),
+                (t(3_000_000), 3)
+            ]
+        );
     }
 }

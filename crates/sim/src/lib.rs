@@ -3,8 +3,9 @@
 //!
 //! The foundation of the scheduler-activations reproduction: a virtual
 //! clock ([`SimTime`]/[`SimDuration`]), a totally ordered cancellable
-//! event queue ([`EventQueue`]), a seeded random source ([`SimRng`]),
-//! measurement primitives ([`stats`]), and an execution trace ([`Trace`]).
+//! event queue ([`EventQueue`], a hierarchical timing wheel), a seeded
+//! random source ([`SimRng`]), measurement primitives ([`stats`]), and an
+//! execution trace ([`Trace`]).
 //!
 //! Everything above this crate (machine, kernel, thread packages,
 //! workloads) is *plain single-threaded Rust* driven by one event loop, so
@@ -22,7 +23,7 @@ pub mod trace;
 pub mod window;
 
 pub use dwell::{ChurnWindow, DwellEpisode, DwellLedger};
-pub use event::{BatchStart, EventCore, EventQueue, EventToken, PopNext};
+pub use event::{EventQueue, EventToken, PopNext};
 pub use ledger::{CpuState, TimeLedger, WaitKind};
 pub use paged::PagedVec;
 pub use rng::SimRng;

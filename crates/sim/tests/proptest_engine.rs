@@ -1,9 +1,8 @@
 //! Property tests of the simulation engine against reference models.
 
 use proptest::prelude::*;
-use sa_sim::event::lazy::LazyEventQueue;
 use sa_sim::stats::{Histogram, TimeWeighted};
-use sa_sim::{EventCore, EventQueue, SimDuration, SimTime};
+use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 
 /// One step of the model-based interleaving test. Near delays are drawn
 /// from a tiny range so same-instant ties (the determinism-critical case)
@@ -22,9 +21,9 @@ enum QueueOp {
     ScheduleFar(u64),
     Cancel(usize),
     Pop,
-    /// Drain one whole simultaneity class through the batch API.
-    PopBatch,
-    Peek,
+    /// The kernel loop's extraction: pop only if the next event fires by
+    /// `now + n ns`.
+    PopWithin(u64),
 }
 
 fn queue_ops() -> impl Strategy<Value = QueueOp> {
@@ -34,17 +33,22 @@ fn queue_ops() -> impl Strategy<Value = QueueOp> {
         1 => (0u64..2_400_000).prop_map(QueueOp::ScheduleFar),
         2 => (0usize..64).prop_map(QueueOp::Cancel),
         2 => Just(QueueOp::Pop),
-        1 => Just(QueueOp::PopBatch),
-        1 => Just(QueueOp::Peek),
+        // Limits from nanoseconds to minutes past the clock, so deferrals
+        // are common, often against a head event the deferred extraction
+        // has cascaded down from a coarse level; the schedules that follow
+        // then land between the clock and that event (the wheel's rewind).
+        3 => (0u32..4, 0u64..10_000)
+            .prop_map(|(level, ns)| QueueOp::PopWithin(ns << (8 * level))),
     ]
 }
 
 /// Naive reference: a vec of live `(time_ns, seq, value)` entries, popped
-/// by scanning for the minimum `(time, seq)`. Deliberately O(n) and
-/// obvious.
+/// by scanning for the minimum `(time, seq)`, plus the clock. Deliberately
+/// O(n) and obvious.
 #[derive(Default)]
 struct ModelQueue {
     live: Vec<(u64, usize, usize)>,
+    now: u64,
 }
 
 impl ModelQueue {
@@ -52,66 +56,72 @@ impl ModelQueue {
         (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
     }
 
-    fn pop(&mut self) -> Option<(u64, usize)> {
-        let i = self.min_index()?;
-        let (t, _, v) = self.live.remove(i);
-        Some((t, v))
+    fn pop_within(&mut self, limit: u64) -> PopNext<usize> {
+        let Some(i) = self.min_index() else {
+            return PopNext::Empty;
+        };
+        let (t, _, v) = self.live[i];
+        if t > limit {
+            return PopNext::Deferred(SimTime::from_nanos(t));
+        }
+        self.live.remove(i);
+        self.now = t;
+        PopNext::Popped(SimTime::from_nanos(t), v)
     }
 
-    fn peek_time(&self) -> Option<u64> {
-        self.min_index().map(|i| self.live[i].0)
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        match self.pop_within(u64::MAX) {
+            PopNext::Popped(t, v) => Some((t.as_nanos(), v)),
+            _ => None,
+        }
     }
 }
 
 proptest! {
     /// Events pop in nondecreasing time order with FIFO tie-breaking,
-    /// regardless of the schedule order — on both cores.
+    /// regardless of the schedule order.
     #[test]
     fn queue_pops_sorted_stable(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        for core in [EventCore::Wheel, EventCore::Indexed] {
-            let mut q = EventQueue::with_core(core);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_micros(t), i);
-            }
-            let mut expected: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            expected.sort_by_key(|&(t, i)| (t, i));
-            let mut got = Vec::new();
-            while let Some((at, idx)) = q.pop() {
-                got.push((at.as_micros(), idx));
-            }
-            prop_assert_eq!(got, expected, "core {:?}", core);
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_micros(t), i);
         }
+        let mut expected: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        expected.sort_by_key(|&(t, i)| (t, i));
+        let mut got = Vec::new();
+        while let Some((at, idx)) = q.pop() {
+            got.push((at.as_micros(), idx));
+        }
+        prop_assert_eq!(got, expected);
     }
 
-    /// Cancellation removes exactly the cancelled events — on both cores.
+    /// Cancellation removes exactly the cancelled events.
     #[test]
     fn queue_cancellation_model(
         times in prop::collection::vec(0u64..10_000, 1..200),
         cancel_mask in prop::collection::vec(any::<bool>(), 1..200),
     ) {
-        for core in [EventCore::Wheel, EventCore::Indexed] {
-            let mut q = EventQueue::with_core(core);
-            let mut tokens = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                tokens.push(q.schedule(SimTime::from_micros(t), i));
-            }
-            let mut expected: Vec<(u64, usize)> = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                let cancelled = *cancel_mask.get(i).unwrap_or(&false);
-                if cancelled {
-                    q.cancel(tokens[i]);
-                } else {
-                    expected.push((t, i));
-                }
-            }
-            expected.sort_by_key(|&(t, i)| (t, i));
-            let mut got = Vec::new();
-            while let Some((at, idx)) = q.pop() {
-                got.push((at.as_micros(), idx));
-            }
-            prop_assert_eq!(got, expected, "core {:?}", core);
+        let mut q = EventQueue::new();
+        let mut tokens = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            tokens.push(q.schedule(SimTime::from_micros(t), i));
         }
+        let mut expected: Vec<(u64, usize)> = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            let cancelled = *cancel_mask.get(i).unwrap_or(&false);
+            if cancelled {
+                q.cancel(tokens[i]);
+            } else {
+                expected.push((t, i));
+            }
+        }
+        expected.sort_by_key(|&(t, i)| (t, i));
+        let mut got = Vec::new();
+        while let Some((at, idx)) = q.pop() {
+            got.push((at.as_micros(), idx));
+        }
+        prop_assert_eq!(got, expected);
     }
 
     /// Interleaved schedule/pop keeps the clock monotone and never loses
@@ -154,70 +164,42 @@ proptest! {
         prop_assert_eq!(scheduled, popped);
     }
 
-    /// Three-way model-based equivalence: arbitrary schedule/cancel/pop/
-    /// batch/peek interleavings (with frequent same-instant ties, sub-tick
-    /// collisions, and far-future overflow entries) agree step-for-step
-    /// across the timing wheel, the indexed heap, the retained lazy
-    /// baseline, and a naive sorted-vec reference. Also pins the
-    /// exact-`len` semantics (after an eager cancel, `len()` and
-    /// `live_len()` drop immediately) and cancel-after-pop refusal.
+    /// Model-based equivalence: arbitrary schedule/cancel/pop/pop-within
+    /// interleavings (with frequent same-instant ties, sub-tick
+    /// collisions, far-future overflow entries, and deferrals followed by
+    /// schedules below the deferred event) agree step for step with a
+    /// naive sorted-vec reference, including the clock. Also pins the
+    /// exact-`len` semantics (after an eager cancel, `len()` drops
+    /// immediately) and the refusal of repeated and post-pop cancels.
     #[test]
     fn queue_matches_model_under_interleaving(
         ops in prop::collection::vec(queue_ops(), 1..300)
     ) {
-        let mut wheel = EventQueue::with_core(EventCore::Wheel);
-        let mut indexed = EventQueue::with_core(EventCore::Indexed);
-        let mut lazy = LazyEventQueue::new();
+        let mut q = EventQueue::new();
         let mut model = ModelQueue::default();
-        // Live tokens, parallel across all implementations.
-        type Toks = (
-            sa_sim::EventToken,
-            sa_sim::EventToken,
-            sa_sim::event::lazy::LazyToken,
-            usize,
-        );
-        let mut tokens: Vec<Toks> = Vec::new();
+        // Live tokens with the value each one schedules.
+        let mut tokens: Vec<(sa_sim::EventToken, usize)> = Vec::new();
         let mut next_seq = 0usize;
-        let schedule =
-            |at: SimTime,
-             wheel: &mut EventQueue<usize>,
-             indexed: &mut EventQueue<usize>,
-             lazy: &mut LazyEventQueue<usize>,
-             model: &mut ModelQueue,
-             tokens: &mut Vec<Toks>,
-             next_seq: &mut usize| {
-                let wtok = wheel.schedule(at, *next_seq);
-                let itok = indexed.schedule(at, *next_seq);
-                let ltok = lazy.schedule(at, *next_seq);
-                model.live.push((at.as_nanos(), *next_seq, *next_seq));
-                tokens.push((wtok, itok, ltok, *next_seq));
-                *next_seq += 1;
-            };
         for op in ops {
-            match op {
-                QueueOp::Schedule(us) => {
-                    let at = wheel.now() + SimDuration::from_micros(us);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
-                QueueOp::ScheduleNs(ns) => {
-                    let at = wheel.now() + SimDuration::from_nanos(ns);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
-                QueueOp::ScheduleFar(ms) => {
-                    let at = wheel.now() + SimDuration::from_millis(ms);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
+            let delay = match op {
+                QueueOp::Schedule(us) => Some(SimDuration::from_micros(us)),
+                QueueOp::ScheduleNs(ns) => Some(SimDuration::from_nanos(ns)),
+                QueueOp::ScheduleFar(ms) => Some(SimDuration::from_millis(ms)),
+                _ => None,
+            };
+            if let Some(delay) = delay {
+                let at = q.now() + delay;
+                tokens.push((q.schedule(at, next_seq), next_seq));
+                model.live.push((at.as_nanos(), next_seq, next_seq));
+                next_seq += 1;
+            }
+            let got = match op {
                 QueueOp::Cancel(i) => {
                     if tokens.is_empty() {
                         continue;
                     }
-                    let (wtok, itok, ltok, seq) = tokens.swap_remove(i % tokens.len());
-                    prop_assert!(wheel.cancel(wtok), "wheel refused live token {}", seq);
-                    prop_assert!(indexed.cancel(itok), "indexed refused live token {}", seq);
-                    prop_assert!(lazy.cancel(ltok), "lazy refused live token {}", seq);
+                    let (tok, seq) = tokens.swap_remove(i % tokens.len());
+                    prop_assert!(q.cancel(tok), "refused live token {}", seq);
                     let mi = model
                         .live
                         .iter()
@@ -225,99 +207,46 @@ proptest! {
                         .expect("model out of sync");
                     model.live.remove(mi);
                     // Eager removal: exact len immediately, and a second
-                    // cancel of the same token must refuse — on every impl.
-                    prop_assert_eq!(wheel.len(), model.live.len());
-                    prop_assert_eq!(indexed.len(), model.live.len());
-                    prop_assert!(!wheel.cancel(wtok));
-                    prop_assert!(!indexed.cancel(itok));
-                    prop_assert!(!lazy.cancel(ltok));
+                    // cancel of the same token must refuse.
+                    prop_assert_eq!(q.len(), model.live.len());
+                    prop_assert!(!q.cancel(tok));
+                    None
                 }
                 QueueOp::Pop => {
-                    let wgot = wheel.pop().map(|(t, v)| (t.as_nanos(), v));
-                    let igot = indexed.pop().map(|(t, v)| (t.as_nanos(), v));
-                    let lgot = lazy.pop().map(|(t, v)| (t.as_nanos(), v));
-                    let want = model.pop();
-                    prop_assert_eq!(wgot, want);
-                    prop_assert_eq!(igot, want);
-                    prop_assert_eq!(lgot, want);
-                    if let Some((_, v)) = want {
-                        let ti = tokens.iter().position(|&(_, _, _, s)| s == v);
-                        if let Some(ti) = ti {
-                            let (wtok, itok, ltok, _) = tokens.swap_remove(ti);
-                            // A popped event's token is dead everywhere.
-                            prop_assert!(!wheel.cancel(wtok));
-                            prop_assert!(!indexed.cancel(itok));
-                            prop_assert!(!lazy.cancel(ltok));
-                        }
+                    let got = q.pop().map(|(t, v)| (t.as_nanos(), v));
+                    prop_assert_eq!(got, model.pop());
+                    got.map(|(_, v)| v)
+                }
+                QueueOp::PopWithin(ns) => {
+                    let limit = q.now() + SimDuration::from_nanos(ns);
+                    let got = q.pop_within(limit);
+                    prop_assert_eq!(got, model.pop_within(limit.as_nanos()));
+                    match got {
+                        PopNext::Popped(_, v) => Some(v),
+                        PopNext::Deferred(_) | PopNext::Empty => None,
                     }
                 }
-                QueueOp::PopBatch => {
-                    let wt = wheel.pop_batch();
-                    let it = indexed.pop_batch();
-                    prop_assert_eq!(wt, it);
-                    let Some(t) = wt else {
-                        prop_assert!(model.live.is_empty());
-                        continue;
-                    };
-                    let mut wbatch = Vec::new();
-                    while let Some(v) = wheel.batch_pop() {
-                        wbatch.push(v);
-                    }
-                    let mut ibatch = Vec::new();
-                    while let Some(v) = indexed.batch_pop() {
-                        ibatch.push(v);
-                    }
-                    let mut want = Vec::new();
-                    while model.peek_time() == Some(t.as_nanos()) {
-                        want.push(model.pop().expect("peeked entry vanished").1);
-                    }
-                    prop_assert!(!want.is_empty(), "batch at {} not in model", t);
-                    prop_assert_eq!(&wbatch, &want);
-                    prop_assert_eq!(&ibatch, &want);
-                    for &v in &want {
-                        let lgot = lazy.pop();
-                        prop_assert_eq!(lgot, Some((t, v)));
-                        let ti = tokens.iter().position(|&(_, _, _, s)| s == v);
-                        if let Some(ti) = ti {
-                            let (wtok, itok, ltok, _) = tokens.swap_remove(ti);
-                            prop_assert!(!wheel.cancel(wtok));
-                            prop_assert!(!indexed.cancel(itok));
-                            prop_assert!(!lazy.cancel(ltok));
-                        }
-                    }
-                }
-                QueueOp::Peek => {
-                    let want = model.peek_time();
-                    prop_assert_eq!(wheel.peek_time().map(|t| t.as_nanos()), want);
-                    prop_assert_eq!(indexed.peek_time().map(|t| t.as_nanos()), want);
+                _ => None,
+            };
+            if let Some(v) = got {
+                // A popped event's token is dead.
+                if let Some(ti) = tokens.iter().position(|&(_, s)| s == v) {
+                    let (tok, _) = tokens.swap_remove(ti);
+                    prop_assert!(!q.cancel(tok));
                 }
             }
-            prop_assert_eq!(wheel.len(), model.live.len());
-            prop_assert_eq!(wheel.live_len(), model.live.len());
-            prop_assert_eq!(wheel.is_empty(), model.live.is_empty());
-            prop_assert_eq!(indexed.len(), model.live.len());
-            prop_assert_eq!(indexed.now(), wheel.now());
+            prop_assert_eq!(q.len(), model.live.len());
+            prop_assert_eq!(q.is_empty(), model.live.is_empty());
+            // The model's clock stays put on a deferral, so this also
+            // checks that `Deferred` leaves the queue's clock unmoved.
+            prop_assert_eq!(q.now().as_nanos(), model.now);
         }
         // Drain: remaining events agree in full (time, value) order.
-        let mut wgot = Vec::new();
-        while let Some((t, v)) = wheel.pop() {
-            wgot.push((t.as_nanos(), v));
-        }
-        let mut igot = Vec::new();
-        while let Some((t, v)) = indexed.pop() {
-            igot.push((t.as_nanos(), v));
-        }
-        let mut lgot = Vec::new();
-        while let Some((t, v)) = lazy.pop() {
-            lgot.push((t.as_nanos(), v));
-        }
-        let mut want = Vec::new();
-        while let Some(e) = model.pop() {
-            want.push(e);
-        }
-        prop_assert_eq!(&wgot, &want);
-        prop_assert_eq!(&igot, &want);
-        prop_assert_eq!(&lgot, &want);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|(t, v)| (t.as_nanos(), v))
+            .collect();
+        let want: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
+        prop_assert_eq!(&got, &want);
     }
 
     /// The time-weighted gauge equals a straightforward integral.

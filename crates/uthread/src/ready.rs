@@ -365,8 +365,8 @@ impl FromStr for ReadyPolicyKind {
 /// [`ReadyPolicyKind`], so the `Box<dyn ReadyPolicy>` indirection on the
 /// dispatch path was provably monomorphic; this enum lets the compiler
 /// resolve (and inline) those calls statically while [`Custom`] keeps the
-/// open trait for external disciplines — and doubles as the
-/// pre-flattening dynamic-dispatch shape for differential tests.
+/// open trait for out-of-tree disciplines and for wrappers around the
+/// built-in ones (see [`crate::FastThreads::set_ready_policy`]).
 ///
 /// [`Custom`]: ReadyPolicySelect::Custom
 pub enum ReadyPolicySelect {
@@ -563,6 +563,59 @@ mod tests {
         l.push(0, t(11));
         l.push(0, t(1));
         assert_eq!(l.pop_best(0, &prio).unwrap().t, t(11), "LIFO tie: newest");
+    }
+
+    /// Every built-in discipline picks identically through its
+    /// enum-dispatched form and through the `Custom` trait-object route,
+    /// over a scripted mix of pushes, cold pushes, pops and priority pops
+    /// across slots, with the slot count growing mid-run.
+    #[test]
+    fn select_and_custom_route_pick_identically() {
+        let prio = |x: UtId| (x.0 % 3) as u8;
+        let script = |mut p: ReadyPolicySelect| {
+            let mut log = Vec::new();
+            let mut rng = 0x9e37_79b9u32;
+            let mut slots = 2;
+            p.ensure_slots(slots);
+            for n in 0..400u32 {
+                if n == 200 {
+                    slots = 5;
+                    p.ensure_slots(slots);
+                }
+                rng ^= rng << 13;
+                rng ^= rng >> 17;
+                rng ^= rng << 5;
+                let slot = (rng >> 8) as usize % slots;
+                let pick = match rng % 6 {
+                    0 | 1 => {
+                        p.push(slot, t(n));
+                        None
+                    }
+                    2 => {
+                        p.push_cold(slot, t(n));
+                        None
+                    }
+                    3 | 4 => p.pop(slot),
+                    _ => p.pop_best(slot, &prio),
+                };
+                log.push((pick, p.len(slot), p.total()));
+            }
+            for slot in 0..slots {
+                while let Some(pick) = p.pop(slot) {
+                    log.push((Some(pick), p.len(slot), p.total()));
+                }
+            }
+            log
+        };
+        for kind in ReadyPolicyKind::ALL {
+            let select = script(kind.build_select());
+            assert!(select.iter().any(|(pick, ..)| pick.is_some()), "{kind}");
+            assert_eq!(
+                select,
+                script(ReadyPolicySelect::Custom(kind.build())),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -201,9 +201,9 @@ impl FastThreads {
         matches!(self.cfg.substrate, Substrate::SchedulerActivations)
     }
 
-    /// Replaces the ready discipline with a custom trait-object policy —
-    /// the pre-flattening dynamic-dispatch shape (differential tests use
-    /// this to pin enum dispatch to the `Box<dyn>` path byte-for-byte).
+    /// Replaces the ready discipline with a custom trait-object policy:
+    /// one defined outside this crate, or a built-in one wrapped by a
+    /// caller (for example a probe that times each policy call).
     /// Call before any thread runs; existing ready threads are not
     /// migrated.
     pub fn set_ready_policy(&mut self, p: Box<dyn ReadyPolicy>) {
