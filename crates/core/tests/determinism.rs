@@ -6,9 +6,11 @@
 
 use sa_core::experiments::nbody_run;
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
+use sa_kernel::{DaemonSpec, Kernel, KernelConfig, SpaceKindSpec, SpaceSpec};
 use sa_machine::{ComputeBody, CostModel};
-use sa_sim::{SimDuration, Trace, TraceRecord};
-use sa_workload::nbody::NBodyConfig;
+use sa_sim::{SimDuration, SimTime, Trace, TraceEvent, TraceRecord};
+use sa_uthread::{FastThreads, FtConfig};
+use sa_workload::nbody::{nbody_parallel, NBodyConfig};
 
 /// Runs a small Figure 1-shaped N-body system with tracing on and returns
 /// the full trace plus the app's elapsed virtual time.
@@ -120,4 +122,114 @@ fn nbody_run_reproducible_via_public_harness() {
     let b = nbody_run(api, 4, cfg, CostModel::firefly_prototype(), 1, 9);
     assert_eq!(a.elapsed, b.elapsed);
     assert_eq!(a.cache_misses, b.cache_misses);
+}
+
+/// A Table 5-shaped scheduler-activations cell — two N-body copies
+/// sharing six processors — as a bare kernel with an unbounded trace, so
+/// a test can drive [`Kernel::run_until`]. `daemons` adds the paper's
+/// periodic kernel daemons and a `memory_fraction` below 1 its paging
+/// I/O; with neither, the event queue is often empty while segments are
+/// in flight.
+fn table5_sa_kernel(daemons: bool, memory_fraction: f64) -> Kernel {
+    let cfg = KernelConfig {
+        cpus: 6,
+        daemons: if daemons {
+            DaemonSpec::topaz_default_set()
+        } else {
+            Vec::new()
+        },
+        seed: 1,
+        ..KernelConfig::default()
+    };
+    let mut k = Kernel::new(cfg, CostModel::firefly_prototype());
+    k.set_trace(Trace::unbounded());
+    for i in 0..2 {
+        let (body, _handle) = nbody_parallel(NBodyConfig {
+            bodies: 40,
+            steps: 2,
+            memory_fraction,
+            seed: 42 + i,
+            ..NBodyConfig::default()
+        });
+        k.add_space(SpaceSpec {
+            name: format!("nbody-{i}"),
+            priority: 1,
+            kind: SpaceKindSpec::UserLevel {
+                runtime: Box::new(FastThreads::new(FtConfig::scheduler_activations(6))),
+                main: body,
+            },
+            mem_pages: None,
+            start_at: SimTime::ZERO,
+        });
+    }
+    k
+}
+
+#[test]
+fn run_until_slices_reproduce_the_whole_run() {
+    // Stopping and resuming must be invisible: the run cut at a grid of
+    // limits — including exact segment-completion instants, where the
+    // limit is inclusive, and the nanosecond before each — delivers the
+    // same events in the same order as the run left alone. Every slice
+    // ends timed out (never deadlocked: a CPU with a segment in flight is
+    // pending work even when the event queue is empty) holding exactly
+    // the whole run's trace records at or before its limit.
+    for (daemons, memory_fraction) in [(true, 0.5), (false, 1.0)] {
+        let cell = format!("daemons {daemons}, memory {memory_fraction}");
+        let mut whole = table5_sa_kernel(daemons, memory_fraction);
+        let out = whole.run();
+        assert!(!out.timed_out && !out.deadlocked, "{cell}: {out:?}");
+        let trace: Vec<TraceRecord> = whole.trace().records().cloned().collect();
+        // A segment's trace record is stamped at its completion.
+        let completions: Vec<SimTime> = trace
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::SegRun { .. }))
+            .map(|r| r.at)
+            .collect();
+        assert!(completions.len() > 1_000, "{cell}: {}", completions.len());
+        let mut limits: Vec<SimTime> = completions
+            .iter()
+            .step_by(61)
+            .flat_map(|&t| [SimTime::from_nanos(t.as_nanos() - 1), t])
+            .chain((1..40).map(|i| SimTime::from_nanos(out.end.as_nanos() / 40 * i)))
+            .filter(|&t| t < out.end)
+            .collect();
+        limits.sort();
+        limits.dedup();
+
+        let mut sliced = table5_sa_kernel(daemons, memory_fraction);
+        for &limit in &limits {
+            let o = sliced.run_until(limit);
+            assert!(
+                o.timed_out && !o.deadlocked,
+                "{cell}: slice to {limit}: {o:?}"
+            );
+            assert!(
+                sliced.now() <= limit,
+                "{cell}: slice to {limit} ran past it"
+            );
+            let upto = trace.partition_point(|r| r.at <= limit);
+            assert_eq!(
+                sliced.trace().records().count(),
+                upto,
+                "{cell}: slice to {limit} is not the run's prefix"
+            );
+        }
+        let o = sliced.run();
+        assert_eq!(
+            (o.end, o.timed_out, o.deadlocked),
+            (out.end, out.timed_out, out.deadlocked),
+            "{cell}"
+        );
+        assert_eq!(
+            sliced.kernel_metrics().events.get(),
+            whole.kernel_metrics().events.get(),
+            "{cell}: event counts"
+        );
+        let sliced_trace: Vec<TraceRecord> = sliced.trace().records().cloned().collect();
+        assert_eq!(sliced_trace.len(), trace.len(), "{cell}");
+        for (i, (a, b)) in sliced_trace.iter().zip(&trace).enumerate() {
+            assert_eq!(a, b, "{cell}: traces diverge at record {i}");
+        }
+    }
 }

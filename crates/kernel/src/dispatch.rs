@@ -3,7 +3,7 @@
 use crate::config::SchedMode;
 use crate::exec::{Effect, Micro, Running, Seg};
 use crate::ids::KtId;
-use crate::kernel::{Event, Inflight, Kernel};
+use crate::kernel::{seg_key, Event, Inflight, Kernel};
 use crate::kthread::KtState;
 use crate::space::SpaceKind;
 use crate::upcall::{SavedContext, WorkKind};
@@ -14,12 +14,12 @@ use sa_sim::{SimDuration, TraceEvent};
 const LIVELOCK_LIMIT: u32 = 100_000;
 
 impl Kernel {
-    /// Processes completion of the in-flight segment on `cpu`.
+    /// Processes completion of the in-flight segment on `cpu` (the run
+    /// loop calls this when the CPU's completion key is the next event).
     pub(crate) fn on_seg_done(&mut self, cpu: usize) {
-        let inf = self.cpus[cpu]
-            .inflight
-            .take()
-            .expect("SegDone with no in-flight segment");
+        let inf = self
+            .take_inflight(cpu)
+            .expect("segment completion with no in-flight segment");
         // Timeline slice for the exporters; emitted at completion so a
         // preempted remainder never appears (the `is_enabled` guard keeps
         // the unit lookup off the disabled hot path).
@@ -160,14 +160,16 @@ impl Kernel {
             self.note_first_dispatch(d);
         }
         self.metrics.segs.inc();
+        // The completion takes the sequence number a queued event
+        // scheduled here would, so it orders against queued events
+        // exactly as one.
         let now = self.q.now();
-        let done_at = now + seg.dur;
-        let gen = self.cpus[cpu].gen;
-        let token = self.sched_ev(done_at, Event::SegDone { cpu, gen });
+        let seq = self.q.reserve_seq();
+        self.seg_keys[cpu] = seg_key(now + seg.dur, seq);
         self.cpus[cpu].inflight = Some(Inflight {
             seg,
             started: now,
-            token,
+            seq,
         });
     }
 
@@ -337,8 +339,7 @@ impl Kernel {
     /// Cancels the in-flight segment, charges the elapsed part, and returns
     /// the unfinished remainder (if any work remained).
     pub(crate) fn take_inflight_remainder(&mut self, cpu: usize) -> Option<Seg> {
-        let inf = self.cpus[cpu].inflight.take()?;
-        self.q.cancel(inf.token);
+        let inf = self.take_inflight(cpu)?;
         let elapsed = self.q.now().since(inf.started);
         self.charge_seg(cpu, inf.seg, elapsed);
         let remaining = inf.seg.dur.saturating_sub(elapsed);

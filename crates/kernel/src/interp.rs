@@ -319,7 +319,7 @@ impl Kernel {
         self.kts.cold[kt.index()].body = None;
         let joiners = std::mem::take(&mut self.kts.cold[kt.index()].joiners);
         self.spaces[space.index()].live_kthreads -= 1;
-        self.quiesce_dirty = true;
+        self.mark_quiesce(space);
         self.set_idle(cpu);
         self.bump_gen(cpu);
         for j in joiners {

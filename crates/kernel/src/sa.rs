@@ -88,7 +88,7 @@ impl Kernel {
         batch.events.clear();
         batch.queued_at.clear();
         self.upcall_batches.push(batch);
-        self.quiesce_dirty = true;
+        self.mark_quiesce(space);
         for k in kicks.drain(..) {
             self.process_kick(space, k);
         }
@@ -342,8 +342,8 @@ impl Kernel {
         self.note_blocked_wait(space, wait, -1);
         let sa = &mut self.spaces[space.index()].sa;
         sa.blocked.retain(|&x| x != a);
-        self.quiesce_dirty = true;
         sa.discarded.push(a);
+        self.mark_quiesce(space);
         let seq = self.spaces[space.index()].sa.next_seq();
         self.acts[a.index()].state = ActState::Discarded;
         self.acts[a.index()].release_seq = seq;

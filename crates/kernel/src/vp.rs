@@ -50,14 +50,20 @@ impl Kernel {
         env.kicks = std::mem::take(&mut self.kicks);
         let action = rt.poll(&mut env, vp, reason);
         let mut kicks = std::mem::take(&mut env.kicks);
+        // Every action but `Run` (spin, syscall, give-up) can coincide
+        // with the last thread exiting and must mark the space for the
+        // quiescence check. A `Run` usually proves live work (a loaded
+        // thread or boot step), but it can also carry the last thread's
+        // exit path with nothing left live: such a space is noted for the
+        // next check without triggering one, which is when a walk over
+        // every space would retire it.
+        let run = matches!(action, VpAction::Run(_));
+        let lurking = run && rt.quiescent();
         self.spaces[space.index()].runtime = Some(rt);
-        // A `Run` result proves the runtime still has live work (a loaded
-        // thread or boot step), so this poll cannot have made the space
-        // quiescent; skip the space-table walk for the common case. Every
-        // other action (spin, syscall, give-up) can coincide with the last
-        // thread exiting and must trigger the check.
-        if !matches!(action, VpAction::Run(_)) {
-            self.quiesce_dirty = true;
+        if !run {
+            self.mark_quiesce(space);
+        } else if lurking {
+            self.note_quiescent(space);
         }
         for k in kicks.drain(..) {
             if k != vp {

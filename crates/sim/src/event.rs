@@ -33,6 +33,26 @@
 //! (tiny) slot list for the minimum `(time, seq)`, which also gives
 //! same-instant events their schedule-order FIFO tie-break.
 //!
+//! ## Bounded extraction and outside events
+//!
+//! [`EventQueue::pop_within`] delivers the next event only if its
+//! `(time, seq)` key is below a caller's bound, and never moves the cursor
+//! past the bound's tick. A caller that keeps some events outside the
+//! queue (the kernel keeps each CPU's segment completion in a per-CPU
+//! timer) takes their sequence numbers from the same counter with
+//! [`EventQueue::reserve_seq`], passes the earliest outside key as the
+//! bound, and on a decline delivers that event itself after moving the
+//! clock with [`EventQueue::advance_to`]. The union then comes out in the
+//! same strict `(time, seq)` order as if every event had been queued, and
+//! a schedule at the delivered instant finds the cursor at or behind its
+//! tick, so it never takes the cold rewind.
+//!
+//! A cached next key lets the common decline (the outside event comes
+//! first) return in O(1): a schedule below it, or into an empty queue,
+//! sets it to the new event's key; an extraction that finds nothing below
+//! its bound sets it to the exact next key; removing the minimal entry
+//! forgets it.
+//!
 //! ## Tokens
 //!
 //! Tokens are generation-stamped slab indices: a slot's generation bumps
@@ -72,8 +92,8 @@ pub struct EventToken {
 pub enum PopNext<E> {
     /// No live events remain.
     Empty,
-    /// The next event fires after the limit; the queue is untouched (the
-    /// clock does not advance) and the event's timestamp is reported.
+    /// The next event's key is not below the bound; the queue is untouched
+    /// (the clock does not advance) and the event's timestamp is reported.
     Deferred(SimTime),
     /// The next event, delivered; the clock advanced to its timestamp.
     Popped(SimTime, E),
@@ -105,8 +125,8 @@ struct Node<E> {
 pub struct EventQueue<E> {
     /// Slab of nodes, indexed by `EventToken::slot`.
     nodes: Vec<Node<E>>,
-    /// Free slab slots.
-    free: Vec<u32>,
+    /// Head of the free slab slots, linked through their `next` fields.
+    free_head: u32,
     /// Head of each slot's doubly-linked entry list.
     heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot-occupancy bitmaps.
@@ -132,10 +152,16 @@ pub struct EventQueue<E> {
     /// leave the slot nonempty; only emptying the slot invalidates it. Lets
     /// steady-state pops skip the per-level candidate scan.
     min_slot: Option<u8>,
+    /// The minimal live `(time, seq)` key, when known (see the module
+    /// docs): a bounded extraction whose bound does not exceed it declines
+    /// without touching the bitmaps.
+    next_key: Option<(SimTime, u64)>,
     next_seq: u64,
     now: SimTime,
     /// Live entries in the wheel and overflow.
     live: usize,
+    /// Schedules that fell behind the cursor and re-filed the wheel.
+    rewinds: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -149,7 +175,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             nodes: Vec::new(),
-            free: Vec::new(),
+            free_head: NIL,
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [[0; WORDS]; LEVELS],
             level_len: [0; LEVELS],
@@ -158,16 +184,51 @@ impl<E> EventQueue<E> {
             overflow_min: None,
             cur_tick: 0,
             min_slot: None,
+            next_key: None,
             next_seq: 0,
             now: SimTime::ZERO,
             live: 0,
+            rewinds: 0,
         }
     }
 
-    /// The current virtual time: the timestamp of the most recently popped
-    /// event (zero before the first pop).
+    /// The current virtual time: the timestamp of the most recently
+    /// delivered event (zero before the first).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Takes the next sequence number for an event the caller keeps
+    /// outside the queue, exactly as a [`EventQueue::schedule`] at this
+    /// point would have: the outside event then orders against queued
+    /// ones by its `(time, seq)` key.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Moves the clock forward to `time`, for an outside event the caller
+    /// delivers at its key after [`EventQueue::pop_within`] declined with
+    /// that key as the bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is before the current time.
+    pub fn advance_to(&mut self, time: SimTime) {
+        assert!(
+            time >= self.now,
+            "clock moved into the past: {time} < now {}",
+            self.now
+        );
+        self.now = time;
+    }
+
+    /// How many schedules fell behind the wheel cursor and re-filed every
+    /// live entry (the O(live) rewind). A caller that only schedules at or
+    /// after the bound of its last declined extraction never causes one.
+    pub fn rewinds(&self) -> u64 {
+        self.rewinds
     }
 
     /// Schedules `event` to fire at `time`; O(1).
@@ -190,8 +251,10 @@ impl<E> EventQueue<E> {
         if tick < self.cur_tick {
             self.rewind(tick);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
+        if self.live == 0 || self.next_key.is_some_and(|k| (time, seq) < k) {
+            self.next_key = Some((time, seq));
+        }
         let idx = self.alloc(time, seq, event);
         self.place(idx);
         self.live += 1;
@@ -213,6 +276,9 @@ impl<E> EventQueue<E> {
         if node.gen != token.gen || node.event.is_none() {
             return false; // stale token: already fired or cancelled
         }
+        if self.next_key == Some((node.time, node.seq)) {
+            self.next_key = None;
+        }
         self.unlink(token.slot);
         self.live -= 1;
         self.free_node(token.slot);
@@ -222,33 +288,70 @@ impl<E> EventQueue<E> {
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self.pop_within(SimTime::MAX) {
+        match self.pop_within((SimTime::MAX, u64::MAX)) {
             PopNext::Popped(time, ev) => Some((time, ev)),
             PopNext::Empty => None,
-            PopNext::Deferred(_) => unreachable!("no event fires after SimTime::MAX"),
+            PopNext::Deferred(_) => unreachable!("no event key reaches the maximal bound"),
         }
     }
 
-    /// Fused peek + pop: delivers the next live event if it fires at or
-    /// before `limit`, otherwise [`PopNext::Deferred`] leaves the queue
-    /// (and clock) untouched — only the internal cascade may have run,
-    /// which is unobservable. A run loop applies its time limit with this
-    /// one call instead of a peek followed by a pop.
-    pub fn pop_within(&mut self, limit: SimTime) -> PopNext<E> {
-        let Some(slot) = self.prepare_min() else {
+    /// Delivers the next live event if its `(time, seq)` key is below
+    /// `bound`, advancing the clock to its timestamp; otherwise
+    /// [`PopNext::Deferred`] reports the next event's timestamp and leaves
+    /// the queue and clock untouched. The one extraction routine: `pop`
+    /// passes the maximal bound, a time limit `t` (inclusive) is the bound
+    /// `(t, u64::MAX)`, and a caller with outside events passes the
+    /// earliest outside key.
+    ///
+    /// Only the internal cascade may run, which is unobservable, and it
+    /// never advances the cursor past the bound's tick: after a decline,
+    /// a schedule at the bound's time needs no rewind.
+    pub fn pop_within(&mut self, bound: (SimTime, u64)) -> PopNext<E> {
+        if self.live == 0 {
             return PopNext::Empty;
+        }
+        if let Some(key) = self.next_key {
+            if key >= bound {
+                return PopNext::Deferred(key.0);
+            }
+        }
+        let bound_tick = bound.0.as_nanos() >> GRAN_SHIFT;
+        let best = loop {
+            if let Some(slot) = self.min_slot {
+                break self.slot_min(0, slot as usize);
+            }
+            let (start, level, slot) = self.min_candidate();
+            if start > bound_tick {
+                // Every live tick lies past the bound's: report the exact
+                // next key without moving the cursor.
+                let key = self.peek_min();
+                self.next_key = Some(key);
+                return PopNext::Deferred(key.0);
+            }
+            // Lazy cursor advance — never past the minimum live tick.
+            // (A candidate start can sit below the cursor when it is the
+            // cursor's own partially-elapsed coarse slot; never move back.)
+            if start > self.cur_tick {
+                self.cur_tick = start;
+            }
+            match level {
+                0 => self.min_slot = Some(slot as u8),
+                LEVELS => self.cascade_overflow(),
+                _ => self.cascade_slot(level, slot),
+            }
         };
-        let best = self.slot_min(slot);
-        let time = self.nodes[best as usize].time;
-        if time > limit {
-            return PopNext::Deferred(time);
+        let key = self.key(best);
+        if key >= bound {
+            self.next_key = Some(key);
+            return PopNext::Deferred(key.0);
         }
         self.unlink(best);
         self.live -= 1;
+        self.next_key = None;
         let ev = self.free_node(best);
-        debug_assert!(time >= self.now, "event queue time inversion");
-        self.now = time;
-        PopNext::Popped(time, ev)
+        debug_assert!(key.0 >= self.now, "event queue time inversion");
+        self.now = key.0;
+        PopNext::Popped(key.0, ev)
     }
 
     /// Number of pending events: scheduled and neither fired nor
@@ -266,29 +369,36 @@ impl<E> EventQueue<E> {
 
     /// Allocates a slab node for `event`, reusing the free list.
     fn alloc(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
-        match self.free.pop() {
-            Some(idx) => {
-                let n = &mut self.nodes[idx as usize];
-                debug_assert!(n.event.is_none(), "free-list slot holds an event");
-                n.time = time;
-                n.seq = seq;
-                n.event = Some(event);
-                idx
-            }
-            None => {
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    time,
-                    seq,
-                    gen: 0,
-                    prev: NIL,
-                    next: NIL,
-                    loc: Loc::Free,
-                    event: Some(event),
-                });
-                idx
-            }
+        let idx = self.free_head;
+        if idx == NIL {
+            return self.grow(time, seq, event);
         }
+        let n = &mut self.nodes[idx as usize];
+        debug_assert!(n.event.is_none(), "free-list slot holds an event");
+        self.free_head = n.next;
+        n.next = NIL;
+        n.time = time;
+        n.seq = seq;
+        n.event = Some(event);
+        idx
+    }
+
+    /// Appends a fresh slab node for `event`. The slab only grows to the
+    /// peak number of live events, so this stays off the hot path, and
+    /// keeping it out of line lets `schedule` inline at its call sites.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
+        self.nodes.push(Node {
+            time,
+            seq,
+            gen: 0,
+            prev: NIL,
+            next: NIL,
+            loc: Loc::Free,
+            event: Some(event),
+        });
+        self.nodes.len() as u32 - 1
     }
 
     /// Takes the event out of `idx`, bumps the generation (invalidating
@@ -298,10 +408,9 @@ impl<E> EventQueue<E> {
         n.gen = n.gen.wrapping_add(1);
         n.loc = Loc::Free;
         n.prev = NIL;
-        n.next = NIL;
-        let ev = n.event.take().expect("freed a dead wheel entry");
-        self.free.push(idx);
-        ev
+        n.next = self.free_head;
+        self.free_head = idx;
+        n.event.take().expect("freed a dead wheel entry")
     }
 
     // ---- wheel placement -----------------------------------------------
@@ -335,6 +444,7 @@ impl<E> EventQueue<E> {
     /// its last delivery never gets here.
     #[cold]
     fn rewind(&mut self, tick: u64) {
+        self.rewinds += 1;
         let mut entries = Vec::with_capacity(self.live);
         for level in 0..LEVELS {
             for head in &mut self.heads[level] {
@@ -499,58 +609,45 @@ impl<E> EventQueue<E> {
         unreachable!("scan_from on an empty level")
     }
 
-    /// Cascades until the globally minimal live event sits in level 0,
-    /// returning its slot; advances the cursor lazily. `None` if nothing
-    /// is live. Amortized O(1): every cascade drops its entries at least
-    /// one level.
-    fn prepare_min(&mut self) -> Option<usize> {
-        if self.live == 0 {
-            return None;
-        }
-        if let Some(slot) = self.min_slot {
-            return Some(slot as usize);
-        }
-        loop {
-            // Minimum slot-start in ticks across levels and overflow.
-            // `<=` keeps the *coarsest* holder on ties, so same-tick
-            // events merge into level 0 before any delivery.
-            let mut best_start = u64::MAX;
-            let mut best_level = usize::MAX;
-            let mut best_slot = 0usize;
-            for k in 0..LEVELS {
-                if let Some((slot, l_tick)) = self.candidate(k) {
-                    let start = l_tick << (k as u32 * LEVEL_BITS);
-                    if start <= best_start {
-                        best_start = start;
-                        best_level = k;
-                        best_slot = slot;
-                    }
+    /// The minimum slot-start in ticks across the levels and the overflow
+    /// list, with its holder: `(start, level, slot)`, where level `LEVELS`
+    /// means the overflow list. `<=` keeps the *coarsest* holder on ties,
+    /// so same-tick events merge into level 0 before any delivery. Every
+    /// live tick is at least `start`. The queue must be nonempty.
+    fn min_candidate(&self) -> (u64, usize, usize) {
+        let mut best = (u64::MAX, usize::MAX, 0usize);
+        for k in 0..LEVELS {
+            if let Some((slot, l_tick)) = self.candidate(k) {
+                let start = l_tick << (k as u32 * LEVEL_BITS);
+                if start <= best.0 {
+                    best = (start, k, slot);
                 }
             }
-            if let Some((t, _, _)) = self.overflow_min {
-                let tick = t.as_nanos() >> GRAN_SHIFT;
-                if tick <= best_start {
-                    best_start = tick;
-                    best_level = LEVELS;
-                }
-            }
-            debug_assert_ne!(best_level, usize::MAX, "live count drifted");
-            // Lazy cursor advance — never past the minimum live tick.
-            // (A candidate start can sit below the cursor when it is the
-            // cursor's own partially-elapsed coarse slot; never move back.)
-            if best_start > self.cur_tick {
-                self.cur_tick = best_start;
-            }
-            if best_level == 0 {
-                self.min_slot = Some(best_slot as u8);
-                return Some(best_slot);
-            }
-            if best_level == LEVELS {
-                self.cascade_overflow();
-            } else {
-                self.cascade_slot(best_level, best_slot);
+        }
+        if let Some((t, _, _)) = self.overflow_min {
+            let tick = t.as_nanos() >> GRAN_SHIFT;
+            if tick <= best.0 {
+                best = (tick, LEVELS, 0);
             }
         }
+        debug_assert_ne!(best.1, usize::MAX, "live count drifted");
+        best
+    }
+
+    /// The exact minimal live key, found without moving the cursor: each
+    /// level's first occupied slot from the cursor holds that level's
+    /// earliest entries, so the minimum is among those slots and the
+    /// overflow's cached minimum. The queue must be nonempty.
+    fn peek_min(&self) -> (SimTime, u64) {
+        let mut best = self
+            .overflow_min
+            .map_or((SimTime::MAX, u64::MAX), |(t, s, _)| (t, s));
+        for k in 0..LEVELS {
+            if let Some((slot, _)) = self.candidate(k) {
+                best = best.min(self.key(self.slot_min(k, slot)));
+            }
+        }
+        best
     }
 
     /// Empties `level`/`slot`, re-placing every entry (each lands at least
@@ -581,15 +678,18 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The entry with minimal `(time, seq)` in level-0 `slot` (nonempty).
-    fn slot_min(&self, slot: usize) -> u32 {
-        let mut idx = self.heads[0][slot];
+    /// The `(time, seq)` key of slab entry `idx`.
+    fn key(&self, idx: u32) -> (SimTime, u64) {
+        let n = &self.nodes[idx as usize];
+        (n.time, n.seq)
+    }
+
+    /// The entry with minimal `(time, seq)` in `level`/`slot` (nonempty).
+    fn slot_min(&self, level: usize, slot: usize) -> u32 {
+        let mut idx = self.heads[level][slot];
         debug_assert_ne!(idx, NIL, "slot_min on an empty slot");
         let mut best = idx;
-        let mut best_key = {
-            let n = &self.nodes[idx as usize];
-            (n.time, n.seq)
-        };
+        let mut best_key = self.key(idx);
         idx = self.nodes[idx as usize].next;
         while idx != NIL {
             let n = &self.nodes[idx as usize];
@@ -673,7 +773,25 @@ impl<E> EventQueue<E> {
         assert_eq!(self.overflow_min, omin, "overflow min cache drift");
         live += oc;
         assert_eq!(live, self.live, "live count drift");
-        assert_eq!(self.live + self.free.len(), self.nodes.len(), "slab leak");
+        let mut free = 0usize;
+        let mut idx = self.free_head;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            assert_eq!(n.loc, Loc::Free, "linked free slot in use");
+            assert!(n.event.is_none(), "free slot holds an event");
+            free += 1;
+            idx = n.next;
+        }
+        assert_eq!(self.live + free, self.nodes.len(), "slab leak");
+        if let Some(key) = self.next_key {
+            let min = self
+                .nodes
+                .iter()
+                .filter(|n| n.event.is_some())
+                .map(|n| (n.time, n.seq))
+                .min();
+            assert_eq!(Some(key), min, "next-key cache drift");
+        }
     }
 }
 
@@ -929,10 +1047,15 @@ mod tests {
         q.check_invariants();
     }
 
+    /// The bound for "fires at or before `limit`".
+    fn through(limit: SimTime) -> (SimTime, u64) {
+        (limit, u64::MAX)
+    }
+
     #[test]
     fn pop_within_defers_without_touching_the_queue() {
         let mut q = EventQueue::new();
-        assert_eq!(q.pop_within(t(100)), PopNext::Empty);
+        assert_eq!(q.pop_within(through(t(100))), PopNext::Empty);
         let early = q.schedule(t(30), 0);
         q.schedule(t(50), 1);
         q.schedule(t(50), 2);
@@ -940,29 +1063,28 @@ mod tests {
         // next live event.
         assert!(q.cancel(early));
         // Past the limit: reported but not delivered, clock unmoved.
-        assert_eq!(q.pop_within(t(40)), PopNext::Deferred(t(50)));
+        assert_eq!(q.pop_within(through(t(40))), PopNext::Deferred(t(50)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 2);
         q.check_invariants();
         // At the limit (inclusive): delivered in schedule order.
-        assert_eq!(q.pop_within(t(50)), PopNext::Popped(t(50), 1));
+        assert_eq!(q.pop_within(through(t(50))), PopNext::Popped(t(50), 1));
         assert_eq!(q.now(), t(50));
-        assert_eq!(q.pop_within(t(50)), PopNext::Popped(t(50), 2));
-        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Empty);
+        assert_eq!(q.pop_within(through(t(50))), PopNext::Popped(t(50), 2));
+        assert_eq!(q.pop_within(through(SimTime::MAX)), PopNext::Empty);
     }
 
     #[test]
     fn schedule_after_a_deferred_pop_keeps_order() {
-        // A run stopped at a limit and acted on: the deferred extraction
-        // may have cascaded the wheel ahead of the clock, and events
-        // scheduled between the clock and the deferred event must still
-        // come out first, in order.
+        // A run stopped at a limit and acted on: events scheduled between
+        // the clock and the deferred event must still come out first, in
+        // order.
         let mut q = EventQueue::new();
         q.schedule(t(10), 1);
         q.schedule(t(40_000), 2);
         q.schedule(t(3_000_000), 3);
-        assert_eq!(q.pop_within(t(100)), PopNext::Popped(t(10), 1));
-        assert_eq!(q.pop_within(t(100)), PopNext::Deferred(t(40_000)));
+        assert_eq!(q.pop_within(through(t(100))), PopNext::Popped(t(10), 1));
+        assert_eq!(q.pop_within(through(t(100))), PopNext::Deferred(t(40_000)));
         assert_eq!(q.now(), t(10));
         q.schedule(t(10), 4);
         q.schedule(t(20_000), 5);
@@ -977,5 +1099,90 @@ mod tests {
                 (t(3_000_000), 3)
             ]
         );
+    }
+
+    #[test]
+    fn schedule_behind_a_cascaded_cursor_rewinds() {
+        // A decline at a far limit may cascade the cursor up to the
+        // limit's tick; a caller that then schedules below it (a run
+        // stopped and acted on) takes the rewind, and order holds.
+        let mut q = EventQueue::new();
+        q.schedule(t(40_000), 1);
+        q.schedule(t(40_000) + SimDuration::from_nanos(1), 2);
+        q.pop();
+        assert_eq!(
+            q.pop_within((t(40_000) + SimDuration::from_nanos(1), 0)),
+            PopNext::Deferred(t(40_000) + SimDuration::from_nanos(1))
+        );
+        assert_eq!(q.rewinds(), 0);
+        q.schedule(t(40_000), 3);
+        assert_eq!(q.rewinds(), 0, "a schedule at the clock's tick");
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 1);
+        q.schedule(t(40_000), 2);
+        q.pop();
+        assert_eq!(
+            q.pop_within(through(SimTime::from_nanos(t(40_000).as_nanos() - 1))),
+            PopNext::Deferred(t(40_000))
+        );
+        q.schedule(t(20), 3);
+        assert_eq!(q.rewinds(), 1);
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((t(20), 3)));
+        assert_eq!(q.pop(), Some((t(40_000), 2)));
+    }
+
+    #[test]
+    fn bounded_pop_orders_by_seq_within_an_instant() {
+        // An outside event reserved between two same-instant schedules
+        // comes out between them: the bound's seq half decides.
+        let mut q = EventQueue::new();
+        q.schedule(t(5), 1);
+        let outside = (t(5), q.reserve_seq());
+        q.schedule(t(5), 2);
+        assert_eq!(q.pop_within(outside), PopNext::Popped(t(5), 1));
+        assert_eq!(q.pop_within(outside), PopNext::Deferred(t(5)));
+        q.advance_to(outside.0);
+        assert_eq!(
+            q.pop_within(through(SimTime::MAX)),
+            PopNext::Popped(t(5), 2)
+        );
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn decline_keeps_the_cursor_at_the_bound_tick() {
+        // Far events sit in coarse levels; a completion-style bound well
+        // before them must neither cascade past its tick nor make the
+        // schedule at its instant rewind, and the cached next key must
+        // answer repeated declines exactly.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_millis(3 * 60 * 60 * 1000); // overflow
+        q.schedule(t(5_000), 1); // L1
+        q.schedule(far, 2);
+        let mut now = SimTime::ZERO;
+        for step in 1..=20u64 {
+            let at = now + SimDuration::from_micros(step);
+            let key = (at, q.reserve_seq());
+            assert_eq!(q.pop_within(key), PopNext::Deferred(t(5_000)));
+            q.check_invariants();
+            q.advance_to(at);
+            now = at;
+            let tok = q.schedule(now, 100);
+            assert!(q.cancel(tok));
+        }
+        assert_eq!(q.rewinds(), 0);
+        assert_eq!(q.now(), now);
+        assert_eq!(q.pop(), Some((t(5_000), 1)));
+        assert_eq!(q.pop(), Some((far, 2)));
+        q.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved into the past")]
+    fn advance_to_the_past_panics() {
+        let mut q = EventQueue::<()>::new();
+        q.advance_to(t(10));
+        q.advance_to(t(5));
     }
 }

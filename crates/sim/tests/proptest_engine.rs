@@ -1,6 +1,7 @@
 //! Property tests of the simulation engine against reference models.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use sa_sim::stats::{Histogram, TimeWeighted};
 use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 
@@ -9,7 +10,7 @@ use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 /// are common; sub-tick delays land distinct timestamps inside one 512 ns
 /// wheel slot; far delays span the wheel's coarse levels up to past the
 /// ~37-minute L3 horizon (exercising the overflow list and the cascade on
-/// the way back down). `Cancel`/`Pop` indices are reduced modulo the
+/// the way back down). `Cancel`/`PopBelow` indices are reduced modulo the
 /// current state at execution time.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
@@ -21,9 +22,19 @@ enum QueueOp {
     ScheduleFar(u64),
     Cancel(usize),
     Pop,
-    /// The kernel loop's extraction: pop only if the next event fires by
-    /// `now + n ns`.
+    /// A run limit: pop only if the next event fires by `now + n ns`.
     PopWithin(u64),
+    /// A bound at a live event's exact key: only strictly earlier keys
+    /// (same instant, lower seq included) may pop.
+    PopBelow(usize),
+    /// Reserve a sequence number for an outside event at `now + n ns`,
+    /// like a CPU starting a segment.
+    Reserve(u64),
+    /// The kernel loop: deliver the union's next event — a bounded pop
+    /// below the earliest outside key, or on a decline that outside event
+    /// (clock moved with `advance_to`), followed by a schedule at the
+    /// delivered instant, like a dispatch kick.
+    Step,
 }
 
 fn queue_ops() -> impl Strategy<Value = QueueOp> {
@@ -39,29 +50,52 @@ fn queue_ops() -> impl Strategy<Value = QueueOp> {
         // then land between the clock and that event (the wheel's rewind).
         3 => (0u32..4, 0u64..10_000)
             .prop_map(|(level, ns)| QueueOp::PopWithin(ns << (8 * level))),
+        2 => (0usize..64).prop_map(QueueOp::PopBelow),
+        // Whole microseconds (ties with `Schedule`) and sub-tick offsets.
+        2 => prop_oneof![(0u64..8).prop_map(|us| us * 1_000), 0u64..1500]
+            .prop_map(QueueOp::Reserve),
+        4 => Just(QueueOp::Step),
     ]
 }
 
-/// Naive reference: a vec of live `(time_ns, seq, value)` entries, popped
-/// by scanning for the minimum `(time, seq)`, plus the clock. Deliberately
-/// O(n) and obvious.
+/// A `(time_ns, seq)` key.
+type Key = (u64, u64);
+
+fn bound(key: Key) -> (SimTime, u64) {
+    (SimTime::from_nanos(key.0), key.1)
+}
+
+/// Naive reference: a vec of live `(time_ns, seq, value, outside)`
+/// entries — queued events and reserved outside ones — popped by scanning
+/// for the minimum `(time, seq)`, plus the clock. Deliberately O(n) and
+/// obvious.
 #[derive(Default)]
 struct ModelQueue {
-    live: Vec<(u64, usize, usize)>,
+    live: Vec<(u64, u64, usize, bool)>,
     now: u64,
 }
 
 impl ModelQueue {
-    fn min_index(&self) -> Option<usize> {
-        (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
+    /// Index of the minimal entry among queued (`outside == false`) or
+    /// all (`None`) entries.
+    fn min_index(&self, outside: Option<bool>) -> Option<usize> {
+        (0..self.live.len())
+            .filter(|&i| outside.is_none_or(|o| self.live[i].3 == o))
+            .min_by_key(|&i| (self.live[i].0, self.live[i].1))
     }
 
-    fn pop_within(&mut self, limit: u64) -> PopNext<usize> {
-        let Some(i) = self.min_index() else {
+    fn key(&self, i: usize) -> Key {
+        (self.live[i].0, self.live[i].1)
+    }
+
+    /// The queue's contract: deliver the minimal queued entry if its key
+    /// is below `bound`.
+    fn pop_within(&mut self, bound: Key) -> PopNext<usize> {
+        let Some(i) = self.min_index(Some(false)) else {
             return PopNext::Empty;
         };
-        let (t, _, v) = self.live[i];
-        if t > limit {
+        let (t, seq, v, _) = self.live[i];
+        if (t, seq) >= bound {
             return PopNext::Deferred(SimTime::from_nanos(t));
         }
         self.live.remove(i);
@@ -70,9 +104,87 @@ impl ModelQueue {
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        match self.pop_within(u64::MAX) {
+        match self.pop_within((u64::MAX, u64::MAX)) {
             PopNext::Popped(t, v) => Some((t.as_nanos(), v)),
             _ => None,
+        }
+    }
+}
+
+/// The queue under test with the test's view of its wheel cursor: `hi`
+/// is a time whose tick the cursor never exceeds. A delivery at `t`
+/// leaves the cursor at `t`'s tick, a decline moves it at most to its
+/// bound's tick, and a rewind moves it back; so a schedule at or after
+/// `hi` must never rewind.
+struct Harness {
+    q: EventQueue<usize>,
+    model: ModelQueue,
+    hi: u64,
+    seq: u64,
+}
+
+impl Harness {
+    fn schedule(&mut self, at: SimTime) -> sa_sim::EventToken {
+        let rewinds = self.q.rewinds();
+        let tok = self.q.schedule(at, self.seq as usize);
+        if self.q.rewinds() != rewinds {
+            assert!(
+                at.as_nanos() < self.hi,
+                "rewind at {at} with the cursor by {}",
+                self.hi
+            );
+            self.hi = at.as_nanos();
+        }
+        self.model
+            .live
+            .push((at.as_nanos(), self.seq, self.seq as usize, false));
+        self.seq += 1;
+        tok
+    }
+
+    /// A bounded pop checked against the model. Like the kernel loop, it
+    /// never lets the clock pass a reserved outside key: the bound is
+    /// capped at the earliest one.
+    fn pop_within(&mut self, key: Key) -> Result<PopNext<usize>, TestCaseError> {
+        let key = match self.model.min_index(Some(true)) {
+            Some(i) => key.min(self.model.key(i)),
+            None => key,
+        };
+        let got = self.q.pop_within(bound(key));
+        prop_assert_eq!(got, self.model.pop_within(key));
+        match got {
+            PopNext::Popped(t, _) => self.hi = t.as_nanos(),
+            PopNext::Deferred(_) => self.hi = self.hi.max(key.0),
+            PopNext::Empty => {}
+        }
+        prop_assert_eq!(self.q.now().as_nanos(), self.model.now);
+        Ok(got)
+    }
+
+    /// One step of the kernel loop: the union's next event, which must be
+    /// the model's minimum over queued and outside entries. `None` once
+    /// both are empty.
+    fn step(&mut self) -> Result<Option<(u64, usize)>, TestCaseError> {
+        let Some(want) = self.model.min_index(None) else {
+            prop_assert!(self.q.is_empty());
+            return Ok(None);
+        };
+        let want = self.model.live[want];
+        let outside = self.model.min_index(Some(true));
+        let key = outside.map_or((u64::MAX, u64::MAX), |i| self.model.key(i));
+        match self.pop_within(key)? {
+            PopNext::Popped(t, v) => {
+                prop_assert_eq!((t.as_nanos(), v, false), (want.0, want.2, want.3));
+                Ok(Some((t.as_nanos(), v)))
+            }
+            PopNext::Deferred(_) | PopNext::Empty => {
+                let i = outside.expect("a decline below the maximal bound");
+                let (t, _, v, _) = self.model.live.remove(i);
+                prop_assert_eq!((t, v, true), (want.0, want.2, want.3));
+                self.q.advance_to(SimTime::from_nanos(t));
+                self.model.now = t;
+                Ok(Some((t, v)))
+            }
         }
     }
 }
@@ -164,22 +276,28 @@ proptest! {
         prop_assert_eq!(scheduled, popped);
     }
 
-    /// Model-based equivalence: arbitrary schedule/cancel/pop/pop-within
+    /// Model-based equivalence: arbitrary schedule/cancel/pop/bounded-pop
     /// interleavings (with frequent same-instant ties, sub-tick
     /// collisions, far-future overflow entries, and deferrals followed by
-    /// schedules below the deferred event) agree step for step with a
-    /// naive sorted-vec reference, including the clock. Also pins the
-    /// exact-`len` semantics (after an eager cancel, `len()` drops
-    /// immediately) and the refusal of repeated and post-pop cancels.
+    /// schedules below the deferred event), plus outside events on
+    /// reserved sequence numbers delivered in union order, agree step for
+    /// step with a naive sorted-vec reference, including the clock. Also
+    /// pins the exact-`len` semantics (after an eager cancel, `len()`
+    /// drops immediately), the refusal of repeated and post-pop cancels,
+    /// and that no schedule at or after a declined bound's time rewinds
+    /// the wheel.
     #[test]
     fn queue_matches_model_under_interleaving(
         ops in prop::collection::vec(queue_ops(), 1..300)
     ) {
-        let mut q = EventQueue::new();
-        let mut model = ModelQueue::default();
+        let mut h = Harness {
+            q: EventQueue::new(),
+            model: ModelQueue::default(),
+            hi: 0,
+            seq: 0,
+        };
         // Live tokens with the value each one schedules.
         let mut tokens: Vec<(sa_sim::EventToken, usize)> = Vec::new();
-        let mut next_seq = 0usize;
         for op in ops {
             let delay = match op {
                 QueueOp::Schedule(us) => Some(SimDuration::from_micros(us)),
@@ -188,10 +306,9 @@ proptest! {
                 _ => None,
             };
             if let Some(delay) = delay {
-                let at = q.now() + delay;
-                tokens.push((q.schedule(at, next_seq), next_seq));
-                model.live.push((at.as_nanos(), next_seq, next_seq));
-                next_seq += 1;
+                let at = h.q.now() + delay;
+                let v = h.seq as usize;
+                tokens.push((h.schedule(at), v));
             }
             let got = match op {
                 QueueOp::Cancel(i) => {
@@ -199,32 +316,72 @@ proptest! {
                         continue;
                     }
                     let (tok, seq) = tokens.swap_remove(i % tokens.len());
-                    prop_assert!(q.cancel(tok), "refused live token {}", seq);
-                    let mi = model
+                    prop_assert!(h.q.cancel(tok), "refused live token {}", seq);
+                    let mi = h
+                        .model
                         .live
                         .iter()
-                        .position(|&(_, s, _)| s == seq)
+                        .position(|&(_, _, v, o)| !o && v == seq)
                         .expect("model out of sync");
-                    model.live.remove(mi);
+                    h.model.live.remove(mi);
                     // Eager removal: exact len immediately, and a second
                     // cancel of the same token must refuse.
-                    prop_assert_eq!(q.len(), model.live.len());
-                    prop_assert!(!q.cancel(tok));
+                    prop_assert!(!h.q.cancel(tok));
                     None
                 }
-                QueueOp::Pop => {
-                    let got = q.pop().map(|(t, v)| (t.as_nanos(), v));
-                    prop_assert_eq!(got, model.pop());
+                QueueOp::Pop if h.model.min_index(Some(true)).is_none() => {
+                    let got = h.q.pop().map(|(t, v)| (t.as_nanos(), v));
+                    prop_assert_eq!(got, h.model.pop());
+                    if let Some((t, _)) = got {
+                        h.hi = t;
+                    }
                     got.map(|(_, v)| v)
                 }
+                QueueOp::Pop => match h.pop_within((u64::MAX, u64::MAX))? {
+                    PopNext::Popped(_, v) => Some(v),
+                    PopNext::Deferred(_) | PopNext::Empty => None,
+                },
                 QueueOp::PopWithin(ns) => {
-                    let limit = q.now() + SimDuration::from_nanos(ns);
-                    let got = q.pop_within(limit);
-                    prop_assert_eq!(got, model.pop_within(limit.as_nanos()));
-                    match got {
+                    let limit = h.q.now() + SimDuration::from_nanos(ns);
+                    match h.pop_within((limit.as_nanos(), u64::MAX))? {
                         PopNext::Popped(_, v) => Some(v),
                         PopNext::Deferred(_) | PopNext::Empty => None,
                     }
+                }
+                QueueOp::PopBelow(i) => {
+                    let queued: Vec<Key> = h
+                        .model
+                        .live
+                        .iter()
+                        .filter(|e| !e.3)
+                        .map(|e| (e.0, e.1))
+                        .collect();
+                    if queued.is_empty() {
+                        continue;
+                    }
+                    match h.pop_within(queued[i % queued.len()])? {
+                        PopNext::Popped(_, v) => Some(v),
+                        PopNext::Deferred(_) | PopNext::Empty => None,
+                    }
+                }
+                QueueOp::Reserve(ns) => {
+                    let at = h.q.now().as_nanos() + ns;
+                    let seq = h.q.reserve_seq();
+                    prop_assert_eq!(seq, h.seq, "reserve_seq left the schedule counter");
+                    h.model.live.push((at, seq, seq as usize, true));
+                    h.seq += 1;
+                    None
+                }
+                QueueOp::Step => {
+                    let got = h.step()?;
+                    // The kernel's handler schedules at the delivered
+                    // instant (a dispatch kick).
+                    if got.is_some() {
+                        let now = h.q.now();
+                        let v = h.seq as usize;
+                        tokens.push((h.schedule(now), v));
+                    }
+                    got.map(|(_, v)| v)
                 }
                 _ => None,
             };
@@ -232,20 +389,24 @@ proptest! {
                 // A popped event's token is dead.
                 if let Some(ti) = tokens.iter().position(|&(_, s)| s == v) {
                     let (tok, _) = tokens.swap_remove(ti);
-                    prop_assert!(!q.cancel(tok));
+                    prop_assert!(!h.q.cancel(tok));
                 }
             }
-            prop_assert_eq!(q.len(), model.live.len());
-            prop_assert_eq!(q.is_empty(), model.live.is_empty());
+            let queued = h.model.live.iter().filter(|e| !e.3).count();
+            prop_assert_eq!(h.q.len(), queued);
+            prop_assert_eq!(h.q.is_empty(), queued == 0);
             // The model's clock stays put on a deferral, so this also
             // checks that `Deferred` leaves the queue's clock unmoved.
-            prop_assert_eq!(q.now().as_nanos(), model.now);
+            prop_assert_eq!(h.q.now().as_nanos(), h.model.now);
         }
-        // Drain: remaining events agree in full (time, value) order.
-        let got: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|(t, v)| (t.as_nanos(), v))
-            .collect();
-        let want: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
+        // Drain: the union comes out in full (time, seq) order.
+        let mut want: Vec<_> = h.model.live.iter().map(|e| (e.0, e.1, e.2)).collect();
+        want.sort();
+        let want: Vec<_> = want.into_iter().map(|(t, _, v)| (t, v)).collect();
+        let mut got = Vec::new();
+        while let Some(e) = h.step()? {
+            got.push(e);
+        }
         prop_assert_eq!(&got, &want);
     }
 
