@@ -256,7 +256,8 @@ pub fn run_audit(
     // The tail join: slowest 0.1% by (response, id) — the same
     // deterministic cut as the SLO report's tail attribution.
     let space_idx: Vec<usize> = sys.apps().iter().map(|a| a.0.index()).collect();
-    let spans = book.borrow().spans().to_vec();
+    let book = book.borrow();
+    let spans = book.spans();
     assert_eq!(spans.len(), cfg.requests, "audit: request count");
     let mut by_response: Vec<(u64, usize)> = spans
         .iter()

@@ -256,20 +256,21 @@ fn run_cell(
         .unwrap_or_else(|e| panic!("{system}: dwell ledger: {e}"));
 
     let space_idx: Vec<usize> = sys.apps().iter().map(|a| a.0.index()).collect();
-    let spans = book.borrow().spans().to_vec();
+    let book = book.borrow();
+    let spans = book.spans();
     assert_eq!(spans.len(), cfg.requests, "{system}: request count");
     assert!(
         spans.iter().all(|s| s.done),
         "{system}: unfinished spans after a completed run"
     );
 
-    let reconcile = reconcile_exact(system, &spans, &ledger, &space_idx, &windowed, makespan);
-    let windows = window_rows(&spans, &windowed, makespan);
+    let reconcile = reconcile_exact(system, spans, &ledger, &space_idx, &windowed, makespan);
+    let windows = window_rows(spans, &windowed, makespan);
     let mut hist = Histogram::log_linear();
-    for s in &spans {
+    for s in spans {
         hist.record(s.response());
     }
-    let tail = tail_attribution(&spans, &windowed);
+    let tail = tail_attribution(spans, &windowed);
 
     SloCell {
         system,

@@ -1,6 +1,6 @@
 //! Dwell / provenance invariants over the whole policy grid.
 //!
-//! For every `AllocPolicy` × `ReadyPolicy` pair (all 9) and every SLO
+//! For every `AllocPolicy` × `ReadyPolicy` pair (all 12) and every SLO
 //! scenario, a decision-audited scheduler-activation cell must satisfy:
 //!
 //! - **Dwell partition**: the dwell ledger's per-CPU episodes tile
@@ -9,11 +9,13 @@
 //!   independent fold here).
 //! - **Decision density**: decision ids are dense from 1 (`id == index
 //!   + 1`) and decision times are monotone nondecreasing.
-//! - **Stamp validity**: every decision id stamped onto a delivered
-//!   upcall names a recorded decision of the matching kind (grant →
-//!   `AddProcessor`, victim → `Preempted`), is delivered to the space
-//!   the decision concerned, no earlier than it was decided, and
-//!   per-space delivery times are monotone.
+//! - **Stamp validity**, checked where the stamp is made: in debug
+//!   builds, which is how this suite runs, the kernel asserts at every
+//!   decision-carrying upcall delivery that the stamped id names a
+//!   recorded decision of the matching kind (grant → `AddProcessor`,
+//!   victim → `Preempted`), about the receiving space, made no later
+//!   than the delivery. Per-space delivery times are monotone because
+//!   the clock is, so the log keeps no delivery stream to re-check.
 //! - **Chain telescoping**: every completed grant chain's legs sum to
 //!   its startup wait exactly.
 //! - **Targets records resolve**: every `Targets` decision's interned
@@ -24,16 +26,23 @@
 //! A proptest then varies the request count on the default pair: the
 //! invariants are properties of the accounting discipline, not of any
 //! particular workload length.
+//!
+//! Last, snapshot isolation: a `dwell_ledger()` snapshot shares its full
+//! episode pages with the running ledger, so snapshots taken while a
+//! cell runs in `Kernel::run_until` slices must each still verify, and
+//! equal a fresh run stopped at the same instant, after the run they
+//! came from has gone on appending.
 
 use proptest::prelude::*;
 use sa_core::audit::chains_sum_exactly;
 use sa_core::scenario::PolicyConfig;
 use sa_core::slo::{self, SloProfile};
 use sa_core::{AppSpec, System, SystemBuilder, ThreadApi};
-use sa_kernel::{AllocDecisionKind, DaemonSpec};
+use sa_kernel::{AllocDecisionKind, DaemonSpec, Kernel, KernelConfig, SpaceKindSpec, SpaceSpec};
+use sa_machine::CostModel;
 use sa_sim::span::SpanBook;
-use sa_sim::trace::UpcallKind;
-use sa_sim::SimTime;
+use sa_sim::{DwellLedger, SimTime};
+use sa_uthread::{FastThreads, FtConfig};
 use sa_workload::openloop::shard_listener;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -118,52 +127,9 @@ fn check_invariants(sys: &System, makespan: SimTime, ctx: &str) {
         prev_at = d.at;
     }
 
-    // Delivered stamps: valid id, matching kind and space, causal order,
-    // monotone per-space delivery times.
-    let n = log.decisions.len() as u64;
-    let n_spaces = sys.apps().len();
-    let mut last_delivery = vec![SimTime::ZERO; n_spaces + 1];
-    for stamp in &log.delivered {
-        assert!(
-            stamp.decision >= 1 && stamp.decision <= n,
-            "{ctx}: stamp names unknown decision {}",
-            stamp.decision
-        );
-        let d = &log.decisions[stamp.decision as usize - 1];
-        match (&d.kind, stamp.kind) {
-            (AllocDecisionKind::Grant { space, .. }, UpcallKind::AddProcessor)
-            | (AllocDecisionKind::Victim { space, .. }, UpcallKind::Preempted) => {
-                assert_eq!(
-                    *space, stamp.space,
-                    "{ctx}: decision {} concerned as{space}, stamped to as{}",
-                    d.id, stamp.space
-                );
-            }
-            (kind, stamped) => panic!(
-                "{ctx}: decision {} ({}) stamped onto a {stamped} upcall",
-                d.id,
-                kind.name()
-            ),
-        }
-        assert!(
-            stamp.at >= d.at,
-            "{ctx}: decision {} delivered at {:?} before it was made at {:?}",
-            d.id,
-            stamp.at,
-            d.at
-        );
-        let last = &mut last_delivery[stamp.space as usize];
-        assert!(
-            stamp.at >= *last,
-            "{ctx}: as{} deliveries went back in time",
-            stamp.space
-        );
-        *last = stamp.at;
-    }
-
     // Every Targets record resolves to one entry per kernel space: the
     // applications plus the daemon space (AsId 0).
-    let kernel_spaces = n_spaces + 1;
+    let kernel_spaces = sys.apps().len() + 1;
     let mut targets_records = 0usize;
     for d in &log.decisions {
         if let AllocDecisionKind::Targets { counts } = d.kind {
@@ -215,5 +181,99 @@ proptest! {
         let (sys, makespan) = run_cell(&profile, PolicyConfig::default(), requests);
         let ctx = format!("slo_poisson defaults requests={requests}");
         check_invariants(&sys, makespan, &ctx);
+    }
+}
+
+/// A decision-audited scheduler-activation kernel over `profile`'s
+/// shards, built but not yet run.
+fn audited_kernel(profile: &SloProfile, requests: usize) -> Kernel {
+    let mut cfg = profile.cfg.clone();
+    cfg.requests = requests;
+    let mut k = Kernel::new(
+        KernelConfig {
+            cpus: profile.cpus,
+            daemons: DaemonSpec::topaz_default_set(),
+            ..KernelConfig::default()
+        },
+        CostModel::firefly_prototype(),
+    );
+    k.enable_decision_log();
+    k.enable_dwell_ledger();
+    let book = Rc::new(RefCell::new(SpanBook::with_capacity(cfg.requests)));
+    for shard in 0..cfg.shards {
+        k.add_space(SpaceSpec {
+            name: format!("slo{shard}"),
+            priority: 1,
+            kind: SpaceKindSpec::UserLevel {
+                runtime: Box::new(FastThreads::new(FtConfig::scheduler_activations(
+                    profile.cpus as u32,
+                ))),
+                main: shard_listener(&cfg, shard, Rc::clone(&book)),
+            },
+            mem_pages: None,
+            start_at: SimTime::ZERO,
+        });
+    }
+    k
+}
+
+fn same_episodes(a: &DwellLedger, b: &DwellLedger) -> bool {
+    a.num_cpus() == b.num_cpus() && a.episodes().iter().eq(b.episodes().iter())
+}
+
+#[test]
+fn dwell_snapshots_stay_isolated_from_the_running_ledger() {
+    let profile = slo::find("slo_bursty").expect("registry profile");
+    let requests = 8_000;
+    let mut whole = audited_kernel(&profile, requests);
+    let out = whole.run();
+    assert!(!out.timed_out && !out.deadlocked, "{out:?}");
+    let whole_dwell = whole.dwell_ledger().expect("dwell ledger enabled");
+    // Enough episodes that snapshots share several full 4 096-row pages.
+    assert!(
+        whole_dwell.episodes().len() > 3 * 4096,
+        "{} episodes",
+        whole_dwell.episodes().len()
+    );
+
+    let mut sliced = audited_kernel(&profile, requests);
+    let mut snaps: Vec<(SimTime, SimTime, DwellLedger)> = Vec::new();
+    for i in 1..8 {
+        let limit = SimTime::from_nanos(out.end.as_nanos() / 8 * i);
+        let o = sliced.run_until(limit);
+        assert!(o.timed_out && !o.deadlocked, "slice to {limit}: {o:?}");
+        let snap = sliced.dwell_ledger().expect("dwell ledger enabled");
+        // Rows of full pages the previous snapshot held are the same rows
+        // here: snapshots share full pages rather than copy them.
+        if let Some((_, _, prev)) = snaps.last() {
+            let full = prev.episodes().len() / 4096 * 4096;
+            for r in (0..full).step_by(512) {
+                assert!(
+                    std::ptr::eq(&prev.episodes()[r], &snap.episodes()[r]),
+                    "episode {r} copied, not shared"
+                );
+            }
+        }
+        snaps.push((limit, sliced.now(), snap));
+    }
+    let o = sliced.run();
+    assert_eq!((o.end, o.timed_out, o.deadlocked), (out.end, false, false));
+    let sliced_dwell = sliced.dwell_ledger().expect("dwell ledger enabled");
+    assert!(same_episodes(&sliced_dwell, &whole_dwell), "final snapshot");
+    sliced_dwell
+        .verify(out.end)
+        .unwrap_or_else(|e| panic!("final snapshot: {e}"));
+
+    for (limit, stop, snap) in &snaps {
+        snap.verify(*stop)
+            .unwrap_or_else(|e| panic!("snapshot at {stop}: {e}"));
+        let mut fresh = audited_kernel(&profile, requests);
+        fresh.run_until(*limit);
+        assert_eq!(fresh.now(), *stop, "fresh run to {limit}");
+        let fresh_dwell = fresh.dwell_ledger().expect("dwell ledger enabled");
+        assert!(
+            same_episodes(snap, &fresh_dwell),
+            "snapshot at {stop} differs from a fresh run stopped there"
+        );
     }
 }

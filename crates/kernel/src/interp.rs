@@ -349,7 +349,7 @@ impl Kernel {
 
     fn eff_try_acquire(&mut self, cpu: usize, kt: KtId, l: LockId) {
         let space = self.kts.hot[kt.index()].space;
-        let lock = self.spaces[space.index()].klocks.entry(l).or_default();
+        let lock = self.spaces[space.index()].klock(l);
         if lock.holder.is_none() {
             lock.holder = Some(kt);
             let p = &mut self.kts.cold[kt.index()].pipeline;
@@ -375,7 +375,7 @@ impl Kernel {
     /// released meanwhile, else enqueue and block atomically.
     fn eff_block_on_lock(&mut self, cpu: usize, kt: KtId, l: LockId) {
         let space = self.kts.hot[kt.index()].space;
-        let lock = self.spaces[space.index()].klocks.entry(l).or_default();
+        let lock = self.spaces[space.index()].klock(l);
         if lock.holder.is_none() {
             lock.holder = Some(kt);
             let ret = self.segs.ret;
@@ -422,7 +422,8 @@ impl Kernel {
     ) -> bool {
         let lock = self.spaces[space.index()]
             .klocks
-            .get_mut(&l)
+            .get_mut(l.index())
+            .and_then(Option::as_mut)
             .expect("release of unknown lock");
         if let Some(h) = expected_holder {
             assert_eq!(lock.holder, Some(h), "release by non-holder");
@@ -440,7 +441,7 @@ impl Kernel {
 
     fn eff_cv_wait(&mut self, cpu: usize, kt: KtId, cv: CvId, lock: LockId) {
         let space = self.kts.hot[kt.index()].space;
-        let kcv = self.spaces[space.index()].kcvs.entry(cv).or_default();
+        let kcv = self.spaces[space.index()].kcv(cv);
         // A banked signal satisfies the wait immediately (equivalent to a
         // Mesa-style spurious wakeup; waiters must re-check predicates).
         if kcv.waiters.is_empty() && self.take_banked_signal(space, cv) {
@@ -451,9 +452,7 @@ impl Kernel {
             return;
         }
         self.spaces[space.index()]
-            .kcvs
-            .entry(cv)
-            .or_default()
+            .kcv(cv)
             .waiters
             .push_back((kt, lock));
         if lock != NO_LOCK {
@@ -478,7 +477,7 @@ impl Kernel {
 
     fn eff_cv_signal(&mut self, kt: KtId, cv: CvId) {
         let space = self.kts.hot[kt.index()].space;
-        let kcv = self.spaces[space.index()].kcvs.entry(cv).or_default();
+        let kcv = self.spaces[space.index()].kcv(cv);
         match kcv.waiters.pop_front() {
             Some((w, lock)) => self.requeue_cv_waiter(space, w, lock),
             None => {
@@ -496,9 +495,7 @@ impl Kernel {
     fn eff_cv_broadcast(&mut self, kt: KtId, cv: CvId) {
         let space = self.kts.hot[kt.index()].space;
         let waiters: Vec<(KtId, LockId)> = self.spaces[space.index()]
-            .kcvs
-            .entry(cv)
-            .or_default()
+            .kcv(cv)
             .waiters
             .drain(..)
             .collect();
@@ -511,7 +508,7 @@ impl Kernel {
     /// lock) or onto the lock's wait queue.
     fn requeue_cv_waiter(&mut self, space: crate::ids::AsId, w: KtId, lock: LockId) {
         if lock != NO_LOCK {
-            let kl = self.spaces[space.index()].klocks.entry(lock).or_default();
+            let kl = self.spaces[space.index()].klock(lock);
             if kl.holder.is_some() {
                 // Must wait for the mutex; stays blocked, now on the lock.
                 kl.waiters.push_back(w);

@@ -197,22 +197,6 @@ impl GrantChain {
     }
 }
 
-/// A decision-stamped notification observed at upcall delivery: which
-/// space received which decision's consequence, and when. Per space the
-/// stamped ids are non-decreasing (pending events are drained FIFO), so
-/// reports can window-join deliveries without sorting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveredStamp {
-    /// The receiving space.
-    pub space: u32,
-    /// The decision stamped on the event.
-    pub decision: u64,
-    /// Event kind (`AddProcessor` or `Preempted`).
-    pub kind: UpcallKind,
-    /// Delivery time.
-    pub at: SimTime,
-}
-
 /// The decision-provenance log (enable with
 /// [`Kernel::enable_decision_log`], read with [`Kernel::decision_log`]).
 ///
@@ -225,9 +209,6 @@ pub struct ProvenanceLog {
     /// Grant chains for scheduler-activation spaces, in decision order
     /// (4 096-row pages).
     pub grants: PagedVec<GrantChain, LOG_PAGE>,
-    /// Decision-stamped upcall deliveries, in delivery order (4 096-row
-    /// pages).
-    pub delivered: PagedVec<DeliveredStamp, LOG_PAGE>,
     /// Interned demand/targets vectors for `Targets` records: pages of
     /// at least `COUNTS_PAGE` entries, each filled only up to its
     /// allocated capacity, so a record never straddles two pages.
@@ -318,12 +299,46 @@ impl ProvenanceLog {
         let i = self.find_grant(decision, n.saturating_sub(8))?;
         Some(&mut self.grants[i])
     }
+
+    /// Checks a decision id stamped onto an upcall event delivered to
+    /// `space` at `now`: it names a recorded decision (ids are dense from
+    /// 1), of the kind the event reports (grant → `AddProcessor`, victim
+    /// → `Preempted`), about the receiving space, taken no later than
+    /// now. Deliveries to one space are then monotone in time because
+    /// the clock is.
+    fn check_stamp(&self, space: u32, decision: u64, kind: UpcallKind, now: SimTime) {
+        let n = self.decisions.len() as u64;
+        assert!(
+            (1..=n).contains(&decision),
+            "upcall stamped with decision {decision}, {n} recorded"
+        );
+        let d = &self.decisions[decision as usize - 1];
+        assert_eq!(d.id, decision, "decision ids are not dense");
+        let concerned = match (d.kind, kind) {
+            (AllocDecisionKind::Grant { space, .. }, UpcallKind::AddProcessor)
+            | (AllocDecisionKind::Victim { space, .. }, UpcallKind::Preempted) => space,
+            (other, _) => panic!(
+                "decision {decision} ({}) stamped onto a {kind} upcall",
+                other.name()
+            ),
+        };
+        assert_eq!(
+            concerned, space,
+            "decision {decision} concerned as{concerned}, delivered to as{space}"
+        );
+        assert!(
+            d.at <= now,
+            "decision {decision} delivered at {now:?}, before it was made at {:?}",
+            d.at
+        );
+    }
 }
 
 impl Kernel {
     /// Turns on decision-provenance recording (records at the three
-    /// choke points plus grant chains and delivery stamps). Decision ids
-    /// advance regardless; only record-keeping is gated.
+    /// choke points plus grant chains). Decision ids advance regardless;
+    /// only record-keeping is gated. Call before the run starts so the
+    /// recorded ids are dense from 1.
     pub fn enable_decision_log(&mut self) {
         self.provenance = Some(Box::default());
     }
@@ -410,17 +425,16 @@ impl Kernel {
         }))
     }
 
-    /// Stamps a decision-carrying upcall delivery (and closes the upcall
-    /// leg of the grant chain for `AddProcessor`).
+    /// Notes a decision-carrying upcall event reaching the runtime: an
+    /// `AddProcessor` closes the upcall leg of its grant chain. Debug
+    /// builds check the stamp here, where it is made (see
+    /// [`ProvenanceLog::check_stamp`]).
     pub(crate) fn note_decision_delivered(&mut self, space: AsId, decision: u64, kind: UpcallKind) {
         let now = self.q.now();
         if let Some(p) = &mut self.provenance {
-            p.delivered.push(DeliveredStamp {
-                space: space.0,
-                decision,
-                kind,
-                at: now,
-            });
+            if cfg!(debug_assertions) {
+                p.check_stamp(space.0, decision, kind, now);
+            }
             if kind == UpcallKind::AddProcessor {
                 if let Some(g) = p.grant_mut(decision) {
                     if g.upcall_at.is_none() {

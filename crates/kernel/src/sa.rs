@@ -66,8 +66,9 @@ impl Kernel {
             });
         }
         if self.provenance_enabled() {
-            // Stamp decision-carrying events at the moment the runtime
-            // sees them (closes the upcall leg of grant chains).
+            // Note decision-carrying events at the moment the runtime
+            // sees them (closes the upcall leg of grant chains; debug
+            // builds check each stamp).
             for ev in &batch.events {
                 match ev.decision() {
                     Some(d) if d != 0 => self.note_decision_delivered(space, d, ev.kind()),

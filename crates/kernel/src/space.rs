@@ -131,10 +131,15 @@ pub(crate) struct Space {
     /// Per-space ready queue (kernel-direct spaces under the processor
     /// allocator; unused in native mode, which has a global queue).
     pub ready: ReadyQueue,
-    /// Application locks, condition variables and kernel channels, named
-    /// by the workload.
-    pub klocks: HashMap<LockId, KLock>,
-    pub kcvs: HashMap<CvId, KCv>,
+    /// Application locks and condition variables, indexed by the
+    /// workload's `LockId`/`CvId` (small and dense ids; `None` marks ids
+    /// never used), the same direct-indexed layout as the user-level
+    /// thread package's tables. Reach them through [`Space::klock`] and
+    /// [`Space::kcv`].
+    pub klocks: Vec<Option<KLock>>,
+    pub kcvs: Vec<Option<KCv>>,
+    /// Kernel channels, named by the workload. A map: channel ids are
+    /// sparse (condition-variable banks live at `cv | 0x8000_0000`).
     pub kchans: HashMap<ChanId, KChan>,
     /// Paging state.
     pub residency: Residency,
@@ -161,12 +166,36 @@ pub(crate) struct Space {
 }
 
 impl Space {
+    /// Application lock `l`, created free on first use.
+    pub(crate) fn klock(&mut self, l: LockId) -> &mut KLock {
+        debug_assert_ne!(
+            l,
+            LockId::NONE,
+            "kernel lock table access with the NONE sentinel"
+        );
+        slot(&mut self.klocks, l.index())
+    }
+
+    /// Condition variable `cv`, created without waiters on first use.
+    pub(crate) fn kcv(&mut self, cv: CvId) -> &mut KCv {
+        slot(&mut self.kcvs, cv.index())
+    }
+
     /// True for scheduler-activation spaces (used by the debug-build
     /// invariant checks).
     #[cfg_attr(not(debug_assertions), expect(dead_code))]
     pub(crate) fn is_sa(&self) -> bool {
         matches!(self.kind, SpaceKind::UserOnSa)
     }
+}
+
+/// Entry `i` of a direct-indexed table, created with its default on
+/// first use.
+fn slot<T: Default>(table: &mut Vec<Option<T>>, i: usize) -> &mut T {
+    if table.len() <= i {
+        table.resize_with(i + 1, || None);
+    }
+    table[i].get_or_insert_with(T::default)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! reallocation rates) can be joined back to the specific decisions a
 //! policy change must suppress.
 
-use crate::paged::PagedVec;
+use crate::paged::{PagedVec, SharedPage};
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 
@@ -76,13 +76,15 @@ pub struct ChurnWindow {
 /// tail episodes so the partition covers the whole makespan.
 ///
 /// Episodes live in fixed pages that never move: growth allocates one
-/// page and copies nothing, and a snapshot copies whole pages, so
-/// sealing it appends without regrowing a buffer.
+/// page and copies nothing. A snapshot shares every full page with the
+/// ledger it was cloned from and copies only the partly filled last
+/// page, so sealing it appends to its own page and neither side's
+/// later episodes show in the other.
 #[derive(Debug, Clone)]
 pub struct DwellLedger {
     /// Per-CPU open episode: (space, start, opening decision).
     open: Vec<(Option<u32>, SimTime, u64)>,
-    episodes: PagedVec<DwellEpisode, EPISODE_PAGE>,
+    episodes: PagedVec<DwellEpisode, EPISODE_PAGE, SharedPage<DwellEpisode>>,
     sealed: bool,
 }
 
@@ -142,7 +144,7 @@ impl DwellLedger {
     }
 
     /// All closed episodes, in close order.
-    pub fn episodes(&self) -> &PagedVec<DwellEpisode, EPISODE_PAGE> {
+    pub fn episodes(&self) -> &PagedVec<DwellEpisode, EPISODE_PAGE, SharedPage<DwellEpisode>> {
         &self.episodes
     }
 

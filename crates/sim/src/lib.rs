@@ -25,7 +25,7 @@ pub mod window;
 pub use dwell::{ChurnWindow, DwellEpisode, DwellLedger};
 pub use event::{EventQueue, EventToken, PopNext};
 pub use ledger::{CpuState, TimeLedger, WaitKind};
-pub use paged::PagedVec;
+pub use paged::{PagedVec, SharedPage};
 pub use rng::SimRng;
 pub use span::{Span, SpanBook, SpanPhase};
 pub use time::{SimDuration, SimTime};

@@ -6,9 +6,15 @@
 //! mutation visibility, and a clone equal to the model — while
 //! additionally guaranteeing rows never move and residency grows by
 //! whole pages, in the clone too.
+//!
+//! The same table over [`SharedPage`]s holds the dwell ledger's episode
+//! stream, whose snapshots share pages with the ledger they came from.
+//! Its model is one `Vec` per clone: every clone must stay equal to the
+//! rows it had when it was taken plus its own later pushes, whatever is
+//! pushed to the others, and must share exactly the full pages.
 
 use proptest::prelude::*;
-use sa_sim::PagedVec;
+use sa_sim::{PagedVec, SharedPage};
 
 /// One step against both the paged table and the reference `Vec`.
 /// Indices are reduced modulo the current length at execution time so
@@ -112,7 +118,98 @@ fn check_against_model<const P: usize>(ops: &[SlabOp]) {
     assert_eq!(copy.bytes_resident(), (model.len() + 1).div_ceil(P) * P * 8);
 }
 
+/// One step over a family of shared-page tables and their clones.
+/// Table indices are reduced modulo the family's size at execution time.
+#[derive(Debug, Clone, Copy)]
+enum ShareOp {
+    /// Push a row to table `i`.
+    Push(usize, u64),
+    /// Add a clone of table `i` to the family.
+    Clone(usize),
+}
+
+fn share_ops() -> impl Strategy<Value = ShareOp> {
+    prop_oneof![
+        8 => ((0usize..16), (0u64..1_000_000)).prop_map(|(i, v)| ShareOp::Push(i, v)),
+        1 => (0usize..16).prop_map(ShareOp::Clone),
+    ]
+}
+
+/// Every observable of a shared-page table against its model rows.
+fn assert_matches<const P: usize>(t: &PagedVec<u64, P, SharedPage<u64>>, model: &[u64]) {
+    assert_eq!(t.len(), model.len());
+    assert_eq!(t.is_empty(), model.is_empty());
+    assert!(
+        t.iter().copied().eq(model.iter().copied()),
+        "forward rows differ"
+    );
+    assert!(
+        t.iter().rev().copied().eq(model.iter().rev().copied()),
+        "reverse rows differ"
+    );
+    let mut looped = Vec::new();
+    for &x in t {
+        looped.push(x);
+    }
+    assert_eq!(looped, model);
+    for (i, &v) in model.iter().enumerate() {
+        assert_eq!(t[i], v);
+        assert_eq!(t.get(i), Some(&v));
+    }
+    assert_eq!(t.get(model.len()), None);
+    assert_eq!(t.bytes_resident(), model.len().div_ceil(P) * P * 8);
+}
+
+/// Runs a push/clone sequence over shared-page tables, checking every
+/// table against its own `Vec` after every step, and at each clone that
+/// the full pages are shared and the partly filled one is copied.
+fn check_shared_against_model<const P: usize>(ops: &[ShareOp]) {
+    let mut tables: Vec<PagedVec<u64, P, SharedPage<u64>>> = vec![PagedVec::new()];
+    let mut models: Vec<Vec<u64>> = vec![Vec::new()];
+    for &op in ops {
+        match op {
+            ShareOp::Push(i, v) => {
+                let i = i % tables.len();
+                let id = tables[i].push(v);
+                models[i].push(v);
+                assert_eq!(id as usize + 1, models[i].len());
+            }
+            ShareOp::Clone(i) => {
+                let i = i % tables.len();
+                let copy = tables[i].clone();
+                let full = models[i].len() / P * P;
+                for r in 0..models[i].len() {
+                    assert_eq!(
+                        core::ptr::eq(&copy[r], &tables[i][r]),
+                        r < full,
+                        "row {r} of {}: only full pages are shared",
+                        models[i].len()
+                    );
+                }
+                tables.push(copy);
+                models.push(models[i].clone());
+            }
+        }
+        for (t, m) in tables.iter().zip(&models) {
+            assert_matches(t, m);
+        }
+    }
+}
+
 proptest! {
+    /// Clones taken at random points, then pushes on either side, at page
+    /// size 4 (many full pages, many partly filled tails).
+    #[test]
+    fn shared_pages_isolate_clones_small_pages(ops in prop::collection::vec(share_ops(), 1..300)) {
+        check_shared_against_model::<4>(&ops);
+    }
+
+    /// The same at page size 16, where most clones land mid-page.
+    #[test]
+    fn shared_pages_isolate_clones_mid_pages(ops in prop::collection::vec(share_ops(), 1..300)) {
+        check_shared_against_model::<16>(&ops);
+    }
+
     /// Page size 4: sequences a few hundred ops long cross dozens of page
     /// boundaries, so page-allocation seams get dense coverage.
     #[test]
