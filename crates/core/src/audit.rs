@@ -6,12 +6,13 @@
 //! provenance on ([`SystemBuilder::decision_audit`]), and the report
 //! joins three exact data sets:
 //!
-//! 1. **Decisions** — the kernel's typed [`AllocDecision`] records at its
-//!    three §4.1 choke points (`targets()` recomputation, `pick_cpu()`
-//!    grant, preemption-victim choice), dense monotonic ids.
-//! 2. **Dwell** — the [`DwellLedger`]'s per-CPU assignment episodes,
-//!    verified to partition `cpus × makespan` exactly, rolled into the
-//!    windowed churn series and flap counts.
+//! 1. **Decisions** — the kernel's typed
+//!    [`AllocDecision`](sa_kernel::AllocDecision) records at its three
+//!    §4.1 choke points (`targets()` recomputation, `pick_cpu()` grant,
+//!    preemption-victim choice), dense monotonic ids.
+//! 2. **Dwell** — the [`DwellLedger`](sa_sim::DwellLedger)'s per-CPU
+//!    assignment episodes, verified to partition `cpus × makespan`
+//!    exactly, rolled into the windowed churn series and flap counts.
 //! 3. **Tail spans** — the slowest 0.1% of request spans, each joined
 //!    with the reallocation decisions that touched its shard's space in
 //!    its `[forked, first_run]` startup window, and attributed to the
@@ -77,7 +78,7 @@ pub struct ChurnStats {
     pub assigned_episodes: u64,
     /// Mean dwell of assigned episodes (ns).
     pub mean_dwell_ns: u64,
-    /// Per-space flap counts (episodes shorter than [`FLAP_THRESHOLD`]).
+    /// Per-space flap counts (episodes shorter than 1 ms).
     pub flaps: Vec<u64>,
     /// The windowed churn series (width = the profile's metrics window).
     pub windows: Vec<ChurnWindow>,

@@ -423,7 +423,7 @@ fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
 
     // Tracing overhead: the same dispatch-heavy run with the disabled
     // tracer (the default everywhere) vs an unbounded recording one. The
-    // disabled number is the regression guard — `Tracer::event` takes a
+    // disabled number is the regression guard — `Trace::event` takes a
     // closure precisely so a disabled sink never formats anything.
     let small = NBodyConfig {
         bodies: cfg.bodies / 2,

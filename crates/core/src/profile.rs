@@ -81,7 +81,7 @@ pub struct ProfileCell {
 /// A full profile: every cell of one scenario.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Scenario name (one of [`SCENARIOS`]).
+    /// Scenario name (one of [`SCENARIOS`](crate::scenario::SCENARIOS)).
     pub scenario: String,
     /// Cells in definition order.
     pub cells: Vec<ProfileCell>,

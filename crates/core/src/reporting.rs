@@ -289,7 +289,7 @@ pub fn parse_host_cores(text: &str) -> Option<usize> {
 /// Whether a benchmark line reports host-parallel scaling (the sweep
 /// speedup) rather than single-thread engine throughput. On a 1-core
 /// host that number is bounded at ~1x by the machine, not the code, so
-/// [`sa-bench-check`] skips its ratio assertion when the current file
+/// `sa-bench-check` skips its ratio assertion when the current file
 /// records `host.cores == 1`.
 pub fn host_dependent(name: &str) -> bool {
     name == "sweep_fig1_grid"

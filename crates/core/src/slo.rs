@@ -9,14 +9,14 @@
 //!    p50/p99/p999 response quantiles among the requests *completing* in
 //!    each window, the time-mean runnable backlog, and the machine's
 //!    ledger-state shares, all in fixed simulated-time windows from the
-//!    [`WindowedLedger`](sa_sim::WindowedLedger).
+//!    [`WindowedLedger`].
 //! 2. **Tail attribution** — the slowest 0.1% of request spans, their
 //!    exact six-phase decomposition (phases sum to response time by
 //!    construction; see `sa_sim::span`), the dominant cause per span and
 //!    overall, joined against the windowed ledger's machine state during
 //!    the windows those tail requests completed in.
 //! 3. **Reconciliation** — the span accounting cross-checked against the
-//!    [`TimeLedger`](sa_sim::TimeLedger): per shard, summed intrinsic
+//!    [`TimeLedger`]: per shard, summed intrinsic
 //!    service must equal the ledger's `running_user` time *exactly*
 //!    (`Op::Compute` is the only producer of user-state CPU time), and
 //!    every window's seven state columns must sum to `cpus × width`.

@@ -10,7 +10,7 @@
 //! §6), escaping through [`crate::reporting::json_escape`].
 
 use crate::reporting::json_escape;
-use sa_sim::{SimTime, TraceEvent, Tracer};
+use sa_sim::{SimTime, Trace, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -58,7 +58,7 @@ fn push_instant(out: &mut String, pid: u32, tid: u32, ts: f64, name: &str, args:
 ///
 /// `cpus` sizes the per-CPU track set so empty processors still appear
 /// (a six-processor run where two CPUs never ran shows six tracks).
-pub fn perfetto_json(trace: &Tracer, cpus: u16) -> String {
+pub fn perfetto_json(trace: &Trace, cpus: u16) -> String {
     // Space names surface from SpaceStart events; spaces that appear only
     // in other events still get a track.
     let mut spaces: BTreeMap<u32, String> = BTreeMap::new();
@@ -232,10 +232,6 @@ pub fn perfetto_json(trace: &Tracer, cpus: u16) -> String {
                 let args = format!(r#", "args": {{"req": {req}, "thread": {thread}}}"#);
                 push_instant(&mut out, PID_SPACES, *space, ts, "span_bind", &args);
             }
-            TraceEvent::Custom(tag, detail) => {
-                let args = format!(r#", "args": {{"detail": "{}"}}"#, json_escape(detail));
-                push_instant(&mut out, PID_CPUS, 0, ts, tag, &args);
-            }
         }
     }
     // Trailing-comma cleanup: the loop writes "},\n" after every event.
@@ -283,10 +279,9 @@ pub fn perfetto_counters_json(series: &[CounterSeries]) -> String {
 }
 
 /// Renders the trace as a plain-text event log, one line per record in
-/// `[time] tag: detail` form — the same shape the echoing tracer prints
-/// live, so logs diff cleanly against echoed output and across
-/// identical-seed runs.
-pub fn text_log(trace: &Tracer) -> String {
+/// `[time] tag: detail` form, so logs diff cleanly across identical-seed
+/// runs.
+pub fn text_log(trace: &Trace) -> String {
     let mut out = String::new();
     for r in trace.records() {
         let _ = writeln!(out, "[{}] {}: {}", r.at, r.tag(), r.event);
@@ -299,8 +294,8 @@ mod tests {
     use super::*;
     use sa_sim::{SimDuration, UpcallKind};
 
-    fn sample_trace() -> Tracer {
-        let mut t = Tracer::unbounded();
+    fn sample_trace() -> Trace {
+        let mut t = Trace::unbounded();
         t.event(SimTime::from_micros(1), || TraceEvent::SpaceStart {
             space: 1,
             name: "app \"quoted\"".into(),
@@ -388,7 +383,7 @@ mod tests {
 
     #[test]
     fn empty_trace_exports_are_well_formed() {
-        let t = Tracer::unbounded();
+        let t = Trace::unbounded();
         let json = perfetto_json(&t, 1);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(text_log(&t).is_empty());

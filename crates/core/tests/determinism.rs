@@ -2,15 +2,21 @@
 //! bit-identical traces and timings. This is the property the engine's
 //! hot-path data structures (timing-wheel event queue, tombstoned ready
 //! queue) must preserve — every pop is the unique minimum `(time, seq)`,
-//! so no internal reorganisation may change observable order.
+//! so no internal reorganisation may change observable order. Observing
+//! a run must not change it either: the optional sinks are pure readers.
 
 use sa_core::experiments::nbody_run;
+use sa_core::slo;
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_kernel::{DaemonSpec, Kernel, KernelConfig, SpaceKindSpec, SpaceSpec};
 use sa_machine::{ComputeBody, CostModel};
+use sa_sim::span::SpanBook;
 use sa_sim::{SimDuration, SimTime, Trace, TraceEvent, TraceRecord};
 use sa_uthread::{FastThreads, FtConfig};
 use sa_workload::nbody::{nbody_parallel, NBodyConfig};
+use sa_workload::openloop::shard_listener;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Runs a small Figure 1-shaped N-body system with tracing on and returns
 /// the full trace plus the app's elapsed virtual time.
@@ -231,5 +237,84 @@ fn run_until_slices_reproduce_the_whole_run() {
         for (i, (a, b)) in sliced_trace.iter().zip(&trace).enumerate() {
             assert_eq!(a, b, "{cell}: traces diverge at record {i}");
         }
+    }
+}
+
+/// A `slo_bursty` scheduler-activation kernel of `requests` requests
+/// with an unbounded trace, built but not run. `observe` turns on every
+/// optional sink: the windowed ledger, the decision log and the dwell
+/// ledger.
+fn slo_bursty_sa_kernel(requests: usize, observe: bool) -> Kernel {
+    let profile = slo::find("slo_bursty").expect("registry profile");
+    let mut cfg = profile.cfg.clone();
+    cfg.requests = requests;
+    let mut k = Kernel::new(
+        KernelConfig {
+            cpus: profile.cpus,
+            daemons: DaemonSpec::topaz_default_set(),
+            ..KernelConfig::default()
+        },
+        CostModel::firefly_prototype(),
+    );
+    k.set_trace(Trace::unbounded());
+    if observe {
+        k.enable_windowed_ledger(profile.window);
+        k.enable_decision_log();
+        k.enable_dwell_ledger();
+    }
+    let book = Rc::new(RefCell::new(SpanBook::with_capacity(requests)));
+    for shard in 0..cfg.shards {
+        k.add_space(SpaceSpec {
+            name: format!("slo{shard}"),
+            priority: 1,
+            kind: SpaceKindSpec::UserLevel {
+                runtime: Box::new(FastThreads::new(FtConfig::scheduler_activations(
+                    profile.cpus as u32,
+                ))),
+                main: shard_listener(&cfg, shard, Rc::clone(&book)),
+            },
+            mem_pages: None,
+            start_at: SimTime::ZERO,
+        });
+    }
+    k
+}
+
+#[test]
+fn observing_never_perturbs_a_run() {
+    // The same cell with no optional sink and with all three: identical
+    // outcomes, event counts and trace records. The records carry the
+    // allocator's decision ids (`Grant`, `ActStop`), so a sink that
+    // renumbered decisions would show here too.
+    let mut plain = slo_bursty_sa_kernel(2_000, false);
+    let mut observed = slo_bursty_sa_kernel(2_000, true);
+    let (a, b) = (plain.run(), observed.run());
+    assert!(!a.timed_out && !a.deadlocked, "{a:?}");
+    assert_eq!(
+        (a.end, a.timed_out, a.deadlocked),
+        (b.end, b.timed_out, b.deadlocked)
+    );
+    assert_eq!(
+        plain.kernel_metrics().events.get(),
+        observed.kernel_metrics().events.get(),
+        "event counts"
+    );
+    assert!(plain.decision_log().is_none() && plain.windowed_ledger().is_none());
+    let log = observed.decision_log().expect("decision log enabled");
+    assert!(
+        log.decisions.len() > 1_000,
+        "{} decisions",
+        log.decisions.len()
+    );
+    assert!(observed.windowed_ledger().is_some() && observed.dwell_ledger().is_some());
+
+    let trace_a: Vec<TraceRecord> = plain.trace().records().cloned().collect();
+    let trace_b: Vec<TraceRecord> = observed.trace().records().cloned().collect();
+    assert!(trace_a
+        .iter()
+        .any(|r| matches!(r.event, TraceEvent::Grant { decision, .. } if decision > 0)));
+    assert_eq!(trace_a.len(), trace_b.len(), "trace lengths");
+    for (i, (a, b)) in trace_a.iter().zip(&trace_b).enumerate() {
+        assert_eq!(a, b, "traces diverge at record {i}");
     }
 }

@@ -31,7 +31,9 @@
 //! episode pages with the running ledger, so snapshots taken while a
 //! cell runs in `Kernel::run_until` slices must each still verify, and
 //! equal a fresh run stopped at the same instant, after the run they
-//! came from has gone on appending.
+//! came from has gone on appending. At each stop the two time snapshots,
+//! `time_ledger()` and `windowed_ledger()`, must close the same open
+//! intervals: both verify there, and they agree on every state's total.
 
 use proptest::prelude::*;
 use sa_core::audit::chains_sum_exactly;
@@ -41,7 +43,7 @@ use sa_core::{AppSpec, System, SystemBuilder, ThreadApi};
 use sa_kernel::{AllocDecisionKind, DaemonSpec, Kernel, KernelConfig, SpaceKindSpec, SpaceSpec};
 use sa_machine::CostModel;
 use sa_sim::span::SpanBook;
-use sa_sim::{DwellLedger, SimTime};
+use sa_sim::{CpuState, DwellLedger, SimTime};
 use sa_uthread::{FastThreads, FtConfig};
 use sa_workload::openloop::shard_listener;
 use std::cell::RefCell;
@@ -199,6 +201,7 @@ fn audited_kernel(profile: &SloProfile, requests: usize) -> Kernel {
     );
     k.enable_decision_log();
     k.enable_dwell_ledger();
+    k.enable_windowed_ledger(profile.window);
     let book = Rc::new(RefCell::new(SpanBook::with_capacity(cfg.requests)));
     for shard in 0..cfg.shards {
         k.add_space(SpaceSpec {
@@ -219,6 +222,30 @@ fn audited_kernel(profile: &SloProfile, requests: usize) -> Kernel {
 
 fn same_episodes(a: &DwellLedger, b: &DwellLedger) -> bool {
     a.num_cpus() == b.num_cpus() && a.episodes().iter().eq(b.episodes().iter())
+}
+
+/// The flat and windowed time snapshots of `k`, stopped at `stop`, each
+/// verify there, and the flat ledger's machine total of every state
+/// equals the windowed ledger's total over all windows.
+fn check_time_snapshots(k: &Kernel, stop: SimTime) {
+    let flat = k.time_ledger();
+    flat.verify(stop)
+        .unwrap_or_else(|e| panic!("time ledger at {stop}: {e}"));
+    let windowed = k.windowed_ledger().expect("windowed ledger enabled");
+    windowed
+        .verify(stop)
+        .unwrap_or_else(|e| panic!("windowed ledger at {stop}: {e}"));
+    for state in CpuState::ALL {
+        let over_windows: u64 = (0..windowed.window_count())
+            .map(|w| windowed.state_ns(w, state))
+            .sum();
+        assert_eq!(
+            flat.total_ns(state),
+            over_windows,
+            "{} at {stop}: flat vs windowed",
+            state.name()
+        );
+    }
 }
 
 #[test]
@@ -243,6 +270,7 @@ fn dwell_snapshots_stay_isolated_from_the_running_ledger() {
         let o = sliced.run_until(limit);
         assert!(o.timed_out && !o.deadlocked, "slice to {limit}: {o:?}");
         let snap = sliced.dwell_ledger().expect("dwell ledger enabled");
+        check_time_snapshots(&sliced, sliced.now());
         // Rows of full pages the previous snapshot held are the same rows
         // here: snapshots share full pages rather than copy them.
         if let Some((_, _, prev)) = snaps.last() {
@@ -260,6 +288,7 @@ fn dwell_snapshots_stay_isolated_from_the_running_ledger() {
     assert_eq!((o.end, o.timed_out, o.deadlocked), (out.end, false, false));
     let sliced_dwell = sliced.dwell_ledger().expect("dwell ledger enabled");
     assert!(same_episodes(&sliced_dwell, &whole_dwell), "final snapshot");
+    check_time_snapshots(&sliced, out.end);
     sliced_dwell
         .verify(out.end)
         .unwrap_or_else(|e| panic!("final snapshot: {e}"));

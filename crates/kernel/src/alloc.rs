@@ -16,7 +16,7 @@ use crate::exec::Running;
 use crate::ids::AsId;
 use crate::kernel::{Event, Kernel};
 use crate::policy::{AllocView, SpaceDemand, TargetsMemo};
-use crate::provenance::VictimReason;
+use crate::provenance::{AllocDecisionKind, VictimReason};
 use crate::space::SpaceKind;
 use crate::upcall::UpcallEvent;
 use sa_sim::TraceEvent;
@@ -155,13 +155,13 @@ impl Kernel {
         if self.cfg.sched != SchedMode::SaAllocator {
             return;
         }
-        self.metrics.rebalances.inc();
         let mut targets = std::mem::take(&mut self.alloc.rebalance_targets);
         let (memo, has_remainder) = self.alloc_targets();
         targets.clear();
         targets.extend_from_slice(memo);
         // Choke point 1: the targets() recomputation is a decision.
-        self.note_targets_decision(&targets);
+        self.obs
+            .decide_targets(self.q.now(), &self.alloc.spaces, &targets);
         if has_remainder && !self.rotation_armed {
             // Time-slice the remainder: rotate which spaces hold the extra
             // processors once per quantum.
@@ -348,18 +348,12 @@ impl Kernel {
         owner: AsId,
         reason: VictimReason,
     ) -> u64 {
-        let id = self.next_decision();
-        if self.provenance_enabled() {
-            self.record_decision(
-                id,
-                crate::provenance::AllocDecisionKind::Victim {
-                    cpu: cpu as u32,
-                    space: owner.0,
-                    reason,
-                },
-            );
-        }
-        id
+        let kind = AllocDecisionKind::Victim {
+            cpu: cpu as u32,
+            space: owner.0,
+            reason,
+        };
+        self.obs.decide(self.q.now(), kind)
     }
 
     /// Releases `cpu` from its owner, leaving it unassigned and idle.
@@ -378,27 +372,24 @@ impl Kernel {
             self.spaces[owner.index()].assigned_cpus -= 1;
             self.cpus[cpu].last_space = Some(owner);
             self.cpus[cpu].assigned_since = None;
-            if let Some(d) = &mut self.dwell {
-                d.release(cpu, self.q.now(), decision);
-            }
+            self.obs.release(cpu, self.q.now(), decision);
         }
-        // Whatever grant chain was open on this CPU will never complete.
-        self.cpus[cpu].open_grant = None;
         debug_assert!(self.cpus[cpu].inflight.is_none());
         self.set_idle(cpu);
     }
 
     /// Records `cpu` as held by `space` from now: the owner, the dwell
-    /// start the hysteresis veto reads, the space's count, and the dwell
-    /// ledger's episode opened by `decision` (0 = none). Allocator grants
-    /// and debugger resumes both come through here.
+    /// start the hysteresis veto reads, the space's count, and the
+    /// observer's episode opened by `decision` (0 = none), with the grant
+    /// chain of a scheduler-activation grant. Allocator grants and
+    /// debugger resumes both come through here.
     pub(crate) fn assign_cpu(&mut self, cpu: usize, space: AsId, decision: u64) {
+        let now = self.q.now();
         self.cpus[cpu].assigned = Some(space);
-        self.cpus[cpu].assigned_since = Some(self.q.now());
+        self.cpus[cpu].assigned_since = Some(now);
         self.spaces[space.index()].assigned_cpus += 1;
-        if let Some(d) = &mut self.dwell {
-            d.assign(cpu, space.0, self.q.now(), decision);
-        }
+        let chain = decision != 0 && self.spaces[space.index()].is_sa();
+        self.obs.assign(cpu, space, now, decision, chain);
     }
 
     /// Assigns a free CPU to `space` and starts it working
@@ -406,16 +397,11 @@ impl Kernel {
     pub(crate) fn grant_cpu_to(&mut self, cpu: usize, space: AsId) {
         debug_assert!(self.cpus[cpu].assigned.is_none());
         debug_assert!(self.cpus[cpu].inflight.is_none());
-        let decision = self.next_decision();
-        if self.provenance_enabled() {
-            self.record_decision(
-                decision,
-                crate::provenance::AllocDecisionKind::Grant {
-                    cpu: cpu as u32,
-                    space: space.0,
-                },
-            );
-        }
+        let kind = AllocDecisionKind::Grant {
+            cpu: cpu as u32,
+            space: space.0,
+        };
+        let decision = self.obs.decide(self.q.now(), kind);
         self.assign_cpu(cpu, space, decision);
         self.trace.event(self.q.now(), || TraceEvent::Grant {
             cpu: cpu as u32,
@@ -424,7 +410,6 @@ impl Kernel {
         });
         match &self.spaces[space.index()].kind {
             SpaceKind::UserOnSa => {
-                self.cpus[cpu].open_grant = self.open_grant_chain(decision, cpu, space);
                 self.deliver_upcall_on_cpu(cpu, space, UpcallEvent::AddProcessor { decision });
             }
             SpaceKind::KernelDirect { .. } | SpaceKind::UserOnKt { .. } => {

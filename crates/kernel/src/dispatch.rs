@@ -45,24 +45,13 @@ impl Kernel {
         self.advance_cpu(cpu);
     }
 
-    /// Charges `dur` of `seg`'s work to the unit's space and to the
-    /// time-attribution ledger (full completions and split remainders
-    /// both come through here, so the ledger sees every occupied
-    /// nanosecond exactly once).
+    /// Charges `dur` of `seg`'s work on `cpu` to the dispatched space
+    /// (completions, split remainders and teardown cancels all come
+    /// through here, so the ledgers see every occupied nanosecond once).
     pub(crate) fn charge_seg(&mut self, cpu: usize, seg: Seg, dur: SimDuration) {
-        let space = match self.cpus[cpu].running {
-            Running::Kt(kt) => Some(self.kts.hot[kt.index()].space),
-            Running::Act(a) => Some(self.acts[a.index()].space),
-            Running::Idle => None,
-        };
-        self.charge_cpu(cpu, space.map(|s| s.index()), seg.ledger_state(), dur);
-        if let Some(s) = space {
-            if seg.preemptible {
-                self.spaces[s.index()].metrics.charge(seg.kind, dur);
-            } else {
-                self.spaces[s.index()].metrics.charge_kernel(dur);
-            }
-        }
+        let space = self.running_space_index(cpu);
+        self.obs
+            .charge(cpu, space, seg.ledger_state(), dur, self.q.now());
     }
 
     /// The dispatch loop: drains effects and starts the next segment.
@@ -152,18 +141,13 @@ impl Kernel {
     /// Starts `seg` on `cpu`.
     pub(crate) fn start_seg(&mut self, cpu: usize, seg: Seg) {
         self.end_idle(cpu);
-        if self.cpus[cpu].open_grant.is_some() && seg.kind == WorkKind::UserWork {
-            // First user work since the grant: the grant-latency chain
-            // is complete (the marker is only set while the decision log
-            // is on).
-            let d = self.cpus[cpu].open_grant.take().unwrap();
-            self.note_first_dispatch(d);
+        let now = self.q.now();
+        if seg.kind == WorkKind::UserWork {
+            self.obs.user_dispatch(cpu, now);
         }
-        self.metrics.segs.inc();
         // The completion takes the sequence number a queued event
         // scheduled here would, so it orders against queued events
         // exactly as one.
-        let now = self.q.now();
         let seq = self.q.reserve_seq();
         self.seg_keys[cpu] = seg_key(now + seg.dur, seq);
         self.cpus[cpu].inflight = Some(Inflight {
@@ -223,7 +207,6 @@ impl Kernel {
         self.kts.hot[kt.index()].state = KtState::Running(cpu as u16);
         self.cpus[cpu].running = Running::Kt(kt);
         let space = self.kts.hot[kt.index()].space;
-        self.spaces[space.index()].metrics.kt_switches.inc();
         self.trace.event(self.q.now(), || TraceEvent::Dispatch {
             cpu: cpu as u32,
             space: Some(space.0),
@@ -471,7 +454,7 @@ impl Kernel {
         if let KtState::Blocked(bk) = self.kts.hot[kt.index()].state {
             if let Some(wk) = bk.wait_kind() {
                 let space = self.kts.hot[kt.index()].space;
-                self.note_blocked_wait(space, wk, -1);
+                self.obs.wait(space, wk, -1, self.q.now());
             }
         }
         self.kts.hot[kt.index()].state = KtState::Ready;

@@ -266,7 +266,7 @@ impl Kernel {
         self.kts.hot[kt.index()].state = KtState::Blocked(kind);
         let space = self.kts.hot[kt.index()].space;
         if let Some(wk) = kind.wait_kind() {
-            self.note_blocked_wait(space, wk, 1);
+            self.obs.wait(space, wk, 1, self.q.now());
         }
         let now = self.q.now();
         self.trace.event(now, || sa_sim::TraceEvent::KtBlock {

@@ -7,14 +7,12 @@ use crate::ids::{ActId, AsId, KtId, VpId};
 use crate::io::DiskOp;
 use crate::kthread::{KtState, KtTable};
 use crate::metrics::{KernelMetrics, RunOutcome, SpaceMetrics};
+use crate::observe::Observer;
 use crate::policy::{AllocPolicy, AllocPolicySelect};
 use crate::sched::ReadyQueue;
 use crate::space::{Residency, SaState, Space, SpaceKind};
 use sa_machine::{CostModel, Disk};
-use sa_sim::{
-    CpuState, EventQueue, EventToken, PopNext, SimRng, SimTime, TimeLedger, Trace, TraceEvent,
-    WaitKind,
-};
+use sa_sim::{CpuState, EventQueue, EventToken, PopNext, SimRng, SimTime, Trace, TraceEvent};
 
 /// Priority of kernel daemon threads: above every application space.
 pub(crate) const DAEMON_PRIO: u8 = 255;
@@ -69,10 +67,6 @@ pub(crate) struct Cpu {
     /// When the current assignment was granted (hysteresis dwell input;
     /// cleared on release).
     pub assigned_since: Option<SimTime>,
-    /// Index (in the provenance log's grants vec) of a grant chain whose
-    /// first user dispatch has not happened yet (set only while the
-    /// decision log is enabled; closed O(1) in `start_seg`).
-    pub open_grant: Option<u32>,
 }
 
 /// A segment in flight on a CPU.
@@ -97,49 +91,6 @@ pub(crate) const NO_SEG: u128 = u128::MAX;
 /// A completion key as the event queue's `(time, seq)` bound.
 fn key_bound(key: u128) -> (SimTime, u64) {
     (SimTime::from_nanos((key >> 64) as u64), key as u64)
-}
-
-/// Per-CPU pending ledger charges, accumulated until the dispatched
-/// space changes. The dispatch loop charges one segment per event; a CPU
-/// runs long stretches of segments for the same space, so merging them
-/// here turns three array-indexed ledger adds per micro-op into one
-/// plain `u64` add, flushed once per space switch (or ledger read).
-/// Pure summation, so conservation (`sum == cpus × makespan`) is exact.
-#[derive(Clone)]
-pub(crate) struct ChargeAcc {
-    /// Raw space index plus one; 0 means unattributed.
-    key: u32,
-    /// Pending nanoseconds, indexed in `CpuState::ALL` order.
-    ns: [u64; CpuState::COUNT],
-}
-
-impl ChargeAcc {
-    fn new() -> Self {
-        ChargeAcc {
-            key: 0,
-            ns: [0; CpuState::COUNT],
-        }
-    }
-
-    /// Drains the pending sums into `ledger` for `cpu`.
-    fn flush_into(&mut self, ledger: &mut TimeLedger, cpu: usize) {
-        let space = if self.key == 0 {
-            None
-        } else {
-            Some(self.key as usize - 1)
-        };
-        for (i, state) in CpuState::ALL.iter().enumerate() {
-            if self.ns[i] != 0 {
-                ledger.charge(
-                    cpu,
-                    space,
-                    *state,
-                    sa_sim::SimDuration::from_nanos(self.ns[i]),
-                );
-                self.ns[i] = 0;
-            }
-        }
-    }
 }
 
 /// The simulated operating system kernel.
@@ -169,22 +120,8 @@ pub struct Kernel {
     /// Global ready queue (native mode).
     pub(crate) global_rq: ReadyQueue,
     pub(crate) metrics: KernelMetrics,
-    /// Where every CPU nanosecond went (always on; a `u64` add per charge).
-    pub(crate) ledger: TimeLedger,
-    /// Per-CPU charge accumulators in front of `ledger` (see [`ChargeAcc`]).
-    pending_charges: Vec<ChargeAcc>,
-    /// Optional windowed rollup of the same charge stream (off by
-    /// default; the SLO pipeline turns it on). Boxed so the disabled
-    /// case costs one branch per charge.
-    windowed: Option<Box<sa_sim::WindowedLedger>>,
-    /// Allocator decision sequence (always advances, even with the log
-    /// off, so stamped ids are identical whether or not anyone records).
-    pub(crate) next_decision_id: u64,
-    /// Optional decision-provenance log (see `provenance.rs`). Boxed so
-    /// the disabled case costs one branch per choke point.
-    pub(crate) provenance: Option<Box<crate::provenance::ProvenanceLog>>,
-    /// Optional processor-assignment dwell ledger (same gating).
-    pub(crate) dwell: Option<Box<sa_sim::DwellLedger>>,
+    /// The time ledgers, decision log and dwell ledger (`observe.rs`).
+    pub(crate) obs: Observer,
     /// Rotation counter for remainder processors (§4.1 time-slicing).
     pub(crate) share_rotation: u32,
     /// A `RotateShares` event is outstanding.
@@ -241,7 +178,6 @@ impl Kernel {
                 idle_since: Some(SimTime::ZERO),
                 last_space: None,
                 assigned_since: None,
-                open_grant: None,
             })
             .collect();
         let n_cpus = cfg.cpus as usize;
@@ -266,12 +202,7 @@ impl Kernel {
             daemons: Vec::new(),
             global_rq: ReadyQueue::new(),
             metrics: KernelMetrics::default(),
-            ledger: TimeLedger::new(n_cpus),
-            pending_charges: vec![ChargeAcc::new(); n_cpus],
-            windowed: None,
-            next_decision_id: 0,
-            provenance: None,
-            dwell: None,
+            obs: Observer::new(n_cpus),
             share_rotation: 0,
             rotation_armed: false,
             dwell_retry_armed: false,
@@ -781,12 +712,7 @@ impl Kernel {
             self.app_spaces_done += 1;
         }
         self.spaces[id.index()].completed_at = Some(now);
-        // Any threads still on the gauges are being destroyed, not served:
-        // stop the wait clocks.
-        self.ledger.clear_waits(id.index(), now);
-        if let Some(w) = &mut self.windowed {
-            w.clear_space(id.index(), now);
-        }
+        self.obs.space_done(id, now);
         // Tear down whatever is still dispatched for this space.
         for cpu in 0..self.cpus.len() {
             let belongs = match self.cpus[cpu].running {
@@ -853,40 +779,10 @@ impl Kernel {
         self.set_idle(cpu);
     }
 
-    /// Charges `dur` of `state` on `cpu` through the per-CPU accumulator
-    /// (the single entry point for all three charge choke points:
-    /// completed segments, cancelled segments, ended idle stretches).
-    pub(crate) fn charge_cpu(
-        &mut self,
-        cpu: usize,
-        space: Option<usize>,
-        state: CpuState,
-        dur: sa_sim::SimDuration,
-    ) {
-        let key = space.map_or(0, |s| s as u32 + 1);
-        let acc = &mut self.pending_charges[cpu];
-        if acc.key != key {
-            acc.flush_into(&mut self.ledger, cpu);
-            acc.key = key;
-        }
-        acc.ns[state as usize] += dur.as_nanos();
-        // Every charge site passes an interval ending now, so the
-        // windowed rollup can split it across window boundaries exactly.
-        if let Some(w) = &mut self.windowed {
-            w.charge(state, self.q.now(), dur);
-        }
-    }
-
-    /// Cancels the in-flight segment on `cpu` without charging the partial
-    /// time to the space's metrics (teardown only). The ledger still
-    /// records the elapsed portion — the CPU really did spend that time —
-    /// or its conservation invariant would leak a gap.
+    /// Cancels the in-flight segment on `cpu` (teardown only), charging
+    /// the elapsed part: the CPU really did spend that time.
     pub(crate) fn cancel_inflight(&mut self, cpu: usize) {
-        if let Some(inf) = self.take_inflight(cpu) {
-            let elapsed = self.q.now().since(inf.started);
-            let space = self.running_space_index(cpu);
-            self.charge_cpu(cpu, space, inf.seg.ledger_state(), elapsed);
-        }
+        self.take_inflight_remainder(cpu);
         self.bump_gen(cpu);
     }
 
@@ -903,68 +799,8 @@ impl Kernel {
     /// Call on every ready-queue push (+1) and pop (−1).
     pub(crate) fn note_ready_wait(&mut self, kt: KtId, delta: i64) {
         let space = self.kts.hot[kt.index()].space;
-        self.ledger
-            .note_wait(space.index(), WaitKind::Ready, self.q.now(), delta);
-        if let Some(w) = &mut self.windowed {
-            w.note_wait(space.index(), WaitKind::Ready, self.q.now(), delta);
-        }
-    }
-
-    /// Adjusts a blocked-wait gauge of `space` by `delta` threads.
-    pub(crate) fn note_blocked_wait(&mut self, space: AsId, kind: WaitKind, delta: i64) {
-        self.ledger
-            .note_wait(space.index(), kind, self.q.now(), delta);
-        if let Some(w) = &mut self.windowed {
-            w.note_wait(space.index(), kind, self.q.now(), delta);
-        }
-    }
-
-    /// A snapshot of the time-attribution ledger with every open interval
-    /// (an in-flight segment, an idle stretch) closed at the current
-    /// virtual time, so per-CPU sums equal the makespan exactly. Does not
-    /// mutate kernel state; callable mid-run or after [`Kernel::run`].
-    pub fn time_ledger(&self) -> TimeLedger {
-        let now = self.q.now();
-        let mut ledger = self.ledger.clone();
-        for cpu in 0..self.cpus.len() {
-            let mut pending = self.pending_charges[cpu].clone();
-            pending.flush_into(&mut ledger, cpu);
-            if let Some(inf) = &self.cpus[cpu].inflight {
-                let elapsed = now.since(inf.started);
-                let space = self.running_space_index(cpu);
-                ledger.charge(cpu, space, inf.seg.ledger_state(), elapsed);
-            } else if let Some(since) = self.cpus[cpu].idle_since {
-                ledger.charge(cpu, None, CpuState::Idle, now.since(since));
-            }
-        }
-        ledger
-    }
-
-    /// Turns on the windowed rollup of the charge stream (SLO pipeline).
-    /// Must be called before the run starts so window 0 is complete.
-    pub fn enable_windowed_ledger(&mut self, width: sa_sim::SimDuration) {
-        self.windowed = Some(Box::new(sa_sim::WindowedLedger::new(
-            width,
-            self.cpus.len() as u32,
-        )));
-    }
-
-    /// A snapshot of the windowed ledger (if enabled) with every open
-    /// interval closed and every wait gauge integrated up to now, so
-    /// per-window conservation holds exactly (see
-    /// [`WindowedLedger::verify`](sa_sim::WindowedLedger::verify)).
-    pub fn windowed_ledger(&self) -> Option<sa_sim::WindowedLedger> {
-        let mut w = self.windowed.as_deref().cloned()?;
-        let now = self.q.now();
-        for cpu in 0..self.cpus.len() {
-            if let Some(inf) = &self.cpus[cpu].inflight {
-                w.charge(inf.seg.ledger_state(), now, now.since(inf.started));
-            } else if let Some(since) = self.cpus[cpu].idle_since {
-                w.charge(CpuState::Idle, now, now.since(since));
-            }
-        }
-        w.seal(now);
-        Some(w)
+        self.obs
+            .wait(space, sa_sim::WaitKind::Ready, delta, self.q.now());
     }
 
     /// Takes the in-flight segment off `cpu`; clearing its completion key
@@ -998,9 +834,9 @@ impl Kernel {
     /// Ends idle accounting on `cpu` (it is about to run something).
     pub(crate) fn end_idle(&mut self, cpu: usize) {
         if let Some(since) = self.cpus[cpu].idle_since.take() {
-            let d = self.q.now().since(since);
-            self.metrics.charge_idle(d);
-            self.charge_cpu(cpu, None, CpuState::Idle, d);
+            let now = self.q.now();
+            self.obs
+                .charge(cpu, None, CpuState::Idle, now.since(since), now);
         }
     }
 

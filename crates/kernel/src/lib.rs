@@ -33,6 +33,7 @@ pub mod kernel;
 pub mod kthread;
 pub mod locks;
 pub mod metrics;
+mod observe;
 pub mod policy;
 pub mod provenance;
 pub mod sa;

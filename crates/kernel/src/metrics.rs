@@ -1,25 +1,15 @@
-//! Kernel and per-space measurement.
+//! Kernel and per-space measurement. Where processor time went is the
+//! observer's account (`observe.rs`), not a metric.
 
-use crate::upcall::WorkKind;
 use sa_sim::stats::{Counter, Histogram};
-use sa_sim::{SimDuration, SimTime, UpcallKind};
+use sa_sim::{SimTime, UpcallKind};
 
 /// Per-space accounting.
 #[derive(Debug, Default, Clone)]
 pub struct SpaceMetrics {
-    /// CPU nanoseconds by work classification.
-    user_ns: u64,
-    overhead_ns: u64,
-    spin_ns: u64,
-    idle_spin_ns: u64,
-    upcall_ns: u64,
-    /// Kernel-mode nanoseconds charged to this space's units.
-    kernel_ns: u64,
     /// Upcall events delivered, indexed by [`UpcallKind`] — one slot per
     /// kind, so a new kind cannot silently go uncounted.
     pub upcalls_by_kind: [Counter; UpcallKind::COUNT],
-    /// Upcall deliveries total (batches, not events).
-    pub upcall_batches: Counter,
     /// Latency from an upcall event being raised (queued for the space)
     /// to its delivery at user level — the Table 3 cost, as a
     /// distribution rather than a single mean.
@@ -38,8 +28,6 @@ pub struct SpaceMetrics {
     pub acts_fresh: Counter,
     /// Activations reused from the recycle cache (§4.3).
     pub acts_cached: Counter,
-    /// Kernel context switches of this space's kernel threads.
-    pub kt_switches: Counter,
 }
 
 impl SpaceMetrics {
@@ -52,53 +40,6 @@ impl SpaceMetrics {
     pub(crate) fn count_upcall(&mut self, kind: UpcallKind) {
         self.upcalls_by_kind[kind.index()].inc();
     }
-
-    /// Charges `d` of CPU time classified as `kind`.
-    pub(crate) fn charge(&mut self, kind: WorkKind, d: SimDuration) {
-        let ns = d.as_nanos();
-        match kind {
-            WorkKind::UserWork => self.user_ns += ns,
-            WorkKind::RuntimeOverhead => self.overhead_ns += ns,
-            WorkKind::SpinWait => self.spin_ns += ns,
-            WorkKind::IdleSpin => self.idle_spin_ns += ns,
-            WorkKind::UpcallWork => self.upcall_ns += ns,
-        }
-    }
-
-    /// Charges `d` of kernel-mode time.
-    pub(crate) fn charge_kernel(&mut self, d: SimDuration) {
-        self.kernel_ns += d.as_nanos();
-    }
-
-    /// Pure application compute time.
-    pub fn user_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.user_ns)
-    }
-
-    /// Thread-package overhead time.
-    pub fn overhead_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.overhead_ns)
-    }
-
-    /// Time burned spinning on held locks.
-    pub fn spin_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.spin_ns)
-    }
-
-    /// Time burned in the user-level idle loop.
-    pub fn idle_spin_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.idle_spin_ns)
-    }
-
-    /// Time spent processing upcalls at user level.
-    pub fn upcall_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.upcall_ns)
-    }
-
-    /// Kernel-mode time charged to this space.
-    pub fn kernel_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.kernel_ns)
-    }
 }
 
 /// Whole-kernel accounting.
@@ -106,25 +47,8 @@ impl SpaceMetrics {
 pub struct KernelMetrics {
     /// Events processed by the run loop.
     pub events: Counter,
-    /// Segments started on CPUs.
-    pub segs: Counter,
-    /// CPU-idle integral support: total idle nanoseconds across CPUs.
-    idle_ns: u64,
     /// Processor reallocations performed by the allocator.
     pub reallocations: Counter,
-    /// Allocator policy evaluations.
-    pub rebalances: Counter,
-}
-
-impl KernelMetrics {
-    pub(crate) fn charge_idle(&mut self, d: SimDuration) {
-        self.idle_ns += d.as_nanos();
-    }
-
-    /// Total CPU idle time summed over processors.
-    pub fn idle_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.idle_ns)
-    }
 }
 
 /// Outcome of a kernel run.
@@ -143,17 +67,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn charge_routes_by_kind() {
-        let mut m = SpaceMetrics::default();
-        m.charge(WorkKind::UserWork, SimDuration::from_micros(5));
-        m.charge(WorkKind::SpinWait, SimDuration::from_micros(3));
-        m.charge(WorkKind::SpinWait, SimDuration::from_micros(2));
-        assert_eq!(m.user_time().as_micros(), 5);
-        assert_eq!(m.spin_time().as_micros(), 5);
-        assert_eq!(m.overhead_time(), SimDuration::ZERO);
-    }
-
-    #[test]
     fn upcall_counters_index_by_kind() {
         let mut m = SpaceMetrics::default();
         m.count_upcall(UpcallKind::Blocked);
@@ -163,13 +76,5 @@ mod tests {
         assert_eq!(m.upcalls(UpcallKind::Unblocked), 1);
         assert_eq!(m.upcalls(UpcallKind::AddProcessor), 0);
         assert_eq!(m.upcalls(UpcallKind::Preempted), 0);
-    }
-
-    #[test]
-    fn kernel_idle_accumulates() {
-        let mut k = KernelMetrics::default();
-        k.charge_idle(SimDuration::from_micros(10));
-        k.charge_idle(SimDuration::from_micros(5));
-        assert_eq!(k.idle_time().as_micros(), 15);
     }
 }

@@ -15,8 +15,9 @@
 //! so a slow request's tail window can be traced back to the specific
 //! reallocation decisions inside it. The id sequence always advances
 //! (one `u64` add per decision); the *records* are kept only when the
-//! log is enabled ([`Kernel::enable_decision_log`]), keeping the
-//! disabled hot path at one branch per choke point.
+//! log is enabled
+//! ([`Kernel::enable_decision_log`](crate::Kernel::enable_decision_log)),
+//! keeping the disabled hot path at one branch per choke point.
 //!
 //! For grants to scheduler-activation spaces the log also keeps a
 //! [`GrantChain`]: the causal timestamps decision → preempt done →
@@ -34,8 +35,7 @@
 //! shares that record's [`CountsRange`] instead of appending a copy;
 //! on the SLO profiles about 97% of them do (DESIGN.md §6).
 
-use crate::ids::AsId;
-use crate::kernel::Kernel;
+use crate::policy::SpaceDemand;
 use sa_sim::{PagedVec, SimTime, UpcallKind};
 
 /// Rows per page of the log's record streams.
@@ -198,7 +198,8 @@ impl GrantChain {
 }
 
 /// The decision-provenance log (enable with
-/// [`Kernel::enable_decision_log`], read with [`Kernel::decision_log`]).
+/// [`Kernel::enable_decision_log`](crate::Kernel::enable_decision_log),
+/// read with [`Kernel::decision_log`](crate::Kernel::decision_log)).
 ///
 /// Append-only, in pages that never move (see the module docs): growth
 /// allocates one page and copies nothing.
@@ -216,8 +217,6 @@ pub struct ProvenanceLog {
     /// The latest `Targets` record's range: the next record shares it
     /// when its vectors are equal.
     last_counts: Option<CountsRange>,
-    /// Reused buffer for the demand vector of the record being taken.
-    demand: Vec<u32>,
 }
 
 impl ProvenanceLog {
@@ -235,18 +234,21 @@ impl ProvenanceLog {
         self.counts[r.page as usize][start..start + 2 * n].split_at(n)
     }
 
-    /// Interns one `Targets` record's vectors. A record equal to the
-    /// previous `Targets` record shares its range; any other appends
-    /// `2 * spaces` entries, opening a page when the current one cannot
-    /// hold all of them.
-    fn intern_counts(&mut self, demand: &[u32], targets: &[u32]) -> CountsRange {
-        debug_assert_eq!(demand.len(), targets.len());
+    /// Interns one `Targets` record's vectors: the demand column of the
+    /// allocator's `view`, and `targets`. A record equal to the previous
+    /// `Targets` record shares its range; any other appends `2 * spaces`
+    /// entries, opening a page when the current one cannot hold all of
+    /// them.
+    pub(crate) fn intern_counts(&mut self, view: &[SpaceDemand], targets: &[u32]) -> CountsRange {
+        debug_assert_eq!(view.len(), targets.len());
+        let demand = view.iter().map(|s| s.demand);
         if let Some(prev) = self.last_counts {
-            if self.targets_counts(prev) == (demand, targets) {
+            let (d, t) = self.targets_counts(prev);
+            if t == targets && d.iter().copied().eq(demand.clone()) {
                 return prev;
             }
         }
-        let need = demand.len() + targets.len();
+        let need = 2 * targets.len();
         if self
             .counts
             .last()
@@ -259,9 +261,9 @@ impl ProvenanceLog {
         let r = CountsRange {
             page: u32::try_from(page_idx).expect("counts arena overflowed u32 pages"),
             offset: u32::try_from(page.len()).expect("counts page overflowed u32 offsets"),
-            spaces: u32::try_from(demand.len()).expect("space count overflowed u32"),
+            spaces: u32::try_from(targets.len()).expect("space count overflowed u32"),
         };
-        page.extend_from_slice(demand);
+        page.extend(demand);
         page.extend_from_slice(targets);
         self.last_counts = Some(r);
         r
@@ -286,7 +288,7 @@ impl ProvenanceLog {
     /// the chain being closed was opened recently (the `add_processor`
     /// upcall follows its grant within a batch or two), so scan a few
     /// entries from the tail before paying the full binary search.
-    fn grant_mut(&mut self, decision: u64) -> Option<&mut GrantChain> {
+    pub(crate) fn grant_mut(&mut self, decision: u64) -> Option<&mut GrantChain> {
         let n = self.grants.len();
         for i in (n.saturating_sub(8)..n).rev() {
             match self.grants[i].decision.cmp(&decision) {
@@ -306,7 +308,7 @@ impl ProvenanceLog {
     /// → `Preempted`), about the receiving space, taken no later than
     /// now. Deliveries to one space are then monotone in time because
     /// the clock is.
-    fn check_stamp(&self, space: u32, decision: u64, kind: UpcallKind, now: SimTime) {
+    pub(crate) fn check_stamp(&self, space: u32, decision: u64, kind: UpcallKind, now: SimTime) {
         let n = self.decisions.len() as u64;
         assert!(
             (1..=n).contains(&decision),
@@ -331,131 +333,6 @@ impl ProvenanceLog {
             "decision {decision} delivered at {now:?}, before it was made at {:?}",
             d.at
         );
-    }
-}
-
-impl Kernel {
-    /// Turns on decision-provenance recording (records at the three
-    /// choke points plus grant chains). Decision ids advance regardless;
-    /// only record-keeping is gated. Call before the run starts so the
-    /// recorded ids are dense from 1.
-    pub fn enable_decision_log(&mut self) {
-        self.provenance = Some(Box::default());
-    }
-
-    /// The provenance log, if enabled.
-    pub fn decision_log(&self) -> Option<&ProvenanceLog> {
-        self.provenance.as_deref()
-    }
-
-    /// Turns on the processor-assignment dwell ledger. Call before the
-    /// run starts so episode 0 opens at time zero.
-    pub fn enable_dwell_ledger(&mut self) {
-        self.dwell = Some(Box::new(sa_sim::DwellLedger::new(self.cpus.len())));
-    }
-
-    /// A snapshot of the dwell ledger (if enabled) sealed at the current
-    /// virtual time, so per-CPU episodes partition the makespan exactly
-    /// (see [`sa_sim::DwellLedger::verify`]).
-    pub fn dwell_ledger(&self) -> Option<sa_sim::DwellLedger> {
-        let mut d = self.dwell.as_deref().cloned()?;
-        d.seal(self.q.now());
-        Some(d)
-    }
-
-    /// Allocates the next decision id (always advances; one add).
-    pub(crate) fn next_decision(&mut self) -> u64 {
-        self.next_decision_id += 1;
-        self.next_decision_id
-    }
-
-    /// True when decision records are being kept.
-    pub(crate) fn provenance_enabled(&self) -> bool {
-        self.provenance.is_some()
-    }
-
-    /// Appends a decision record (call only when
-    /// [`Kernel::provenance_enabled`]; `kind` construction is the
-    /// caller's to skip when disabled).
-    pub(crate) fn record_decision(&mut self, id: u64, kind: AllocDecisionKind) {
-        let at = self.q.now();
-        if let Some(p) = &mut self.provenance {
-            debug_assert!(p.decisions.iter().next_back().is_none_or(|d| d.id < id));
-            p.decisions.push(AllocDecision { id, at, kind });
-        }
-    }
-
-    /// Records a `targets()` recomputation decision: the demand the
-    /// policy saw and the targets it chose. Returns the decision id.
-    pub(crate) fn note_targets_decision(&mut self, targets: &[u32]) -> u64 {
-        let id = self.next_decision();
-        // The log steps out of the kernel while the demand vector is
-        // read (space_demand borrows the whole kernel).
-        if let Some(mut p) = self.provenance.take() {
-            let mut demand = std::mem::take(&mut p.demand);
-            demand.clear();
-            demand.extend((0..self.spaces.len()).map(|idx| self.space_demand(AsId(idx as u32))));
-            let counts = p.intern_counts(&demand, targets);
-            p.demand = demand;
-            self.provenance = Some(p);
-            self.record_decision(id, AllocDecisionKind::Targets { counts });
-        }
-        id
-    }
-
-    /// Opens the grant chain for `decision` (scheduler-activation grants
-    /// only; no-op when the log is disabled). Returns the chain's row in
-    /// the grants table, for O(1) closure at first dispatch.
-    pub(crate) fn open_grant_chain(
-        &mut self,
-        decision: u64,
-        cpu: usize,
-        space: AsId,
-    ) -> Option<u32> {
-        let now = self.q.now();
-        let p = self.provenance.as_mut()?;
-        Some(p.grants.push(GrantChain {
-            decision,
-            cpu: cpu as u32,
-            space: space.0,
-            decided_at: now,
-            preempt_done_at: now,
-            upcall_at: None,
-            first_dispatch_at: None,
-        }))
-    }
-
-    /// Notes a decision-carrying upcall event reaching the runtime: an
-    /// `AddProcessor` closes the upcall leg of its grant chain. Debug
-    /// builds check the stamp here, where it is made (see
-    /// [`ProvenanceLog::check_stamp`]).
-    pub(crate) fn note_decision_delivered(&mut self, space: AsId, decision: u64, kind: UpcallKind) {
-        let now = self.q.now();
-        if let Some(p) = &mut self.provenance {
-            if cfg!(debug_assertions) {
-                p.check_stamp(space.0, decision, kind, now);
-            }
-            if kind == UpcallKind::AddProcessor {
-                if let Some(g) = p.grant_mut(decision) {
-                    if g.upcall_at.is_none() {
-                        g.upcall_at = Some(now);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Closes the first-dispatch leg of an open grant chain, addressed
-    /// by the index [`Kernel::open_grant_chain`] returned.
-    pub(crate) fn note_first_dispatch(&mut self, chain: u32) {
-        let now = self.q.now();
-        if let Some(p) = &mut self.provenance {
-            if let Some(g) = p.grants.get_mut(chain as usize) {
-                if g.first_dispatch_at.is_none() {
-                    g.first_dispatch_at = Some(now);
-                }
-            }
-        }
     }
 }
 
@@ -564,7 +441,11 @@ mod tests {
                     (Record::Repeat, None) => continue,
                 };
                 let before = arena_len(&log);
-                let r = log.intern_counts(&demand, &targets);
+                let view: Vec<SpaceDemand> = demand
+                    .iter()
+                    .map(|&demand| SpaceDemand { demand, priority: 1, assigned: 0 })
+                    .collect();
+                let r = log.intern_counts(&view, &targets);
                 let grown = arena_len(&log) - before;
                 match model.last() {
                     Some((prev, d, t)) if *d == demand && *t == targets => {

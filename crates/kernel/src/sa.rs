@@ -50,7 +50,6 @@ impl Kernel {
         {
             debug_assert_eq!(batch.events.len(), batch.queued_at.len());
             let m = &mut self.spaces[space.index()].metrics;
-            m.upcall_batches.inc();
             for (ev, &queued) in batch.events.iter().zip(&batch.queued_at) {
                 m.count_upcall(ev.kind());
                 m.upcall_delivery.record(now.since(queued));
@@ -65,17 +64,7 @@ impl Kernel {
                 vp: ev.vp().map(|v| v.0),
             });
         }
-        if self.provenance_enabled() {
-            // Note decision-carrying events at the moment the runtime
-            // sees them (closes the upcall leg of grant chains; debug
-            // builds check each stamp).
-            for ev in &batch.events {
-                match ev.decision() {
-                    Some(d) if d != 0 => self.note_decision_delivered(space, d, ev.kind()),
-                    _ => {}
-                }
-            }
-        }
+        self.obs.delivered(space, &batch.events, now);
         let mut rt = self.spaces[space.index()]
             .runtime
             .take()
@@ -122,11 +111,8 @@ impl Kernel {
         let ret = self.segs.ret;
         match call {
             Syscall::Io { dur } => {
-                let copy = Seg::kernel(c.syscall_copy_check);
-                // Charge the entry work, then block and notify.
-                // (The copy/check is charged to kernel time immediately
-                // since the activation blocks right after.)
-                self.spaces[space.index()].metrics.charge_kernel(copy.dur);
+                // Block and notify; the copy/check cost is not simulated
+                // here (DESIGN.md §6).
                 self.start_disk_op(UnitRef::Act(a), space, dur, SyscallOutcome::IoDone, None);
                 self.block_activation(cpu, a, WaitKind::BlockedIo);
             }
@@ -144,8 +130,6 @@ impl Kernel {
                     act: a.0,
                     call: "page_fault",
                 });
-                let trap = Seg::kernel(c.kernel_trap);
-                let svc = Seg::kernel(c.page_fault_service);
                 let latency = self.disk.default_latency();
                 self.start_disk_op(
                     UnitRef::Act(a),
@@ -154,10 +138,8 @@ impl Kernel {
                     SyscallOutcome::IoDone,
                     Some(page),
                 );
-                // Charge fault entry, then block.
-                self.spaces[space.index()]
-                    .metrics
-                    .charge_kernel(trap.dur + svc.dur);
+                // Block; the trap and fault service are not simulated
+                // here (DESIGN.md §6).
                 self.block_activation(cpu, a, WaitKind::BlockedIo);
             }
             Syscall::KernelSignal { chan } => {
@@ -192,7 +174,6 @@ impl Kernel {
                         SyscallOutcome::ChanSignalled,
                     ))));
                 } else {
-                    self.spaces[space.index()].metrics.charge_kernel(dc.wait);
                     self.block_activation(cpu, a, WaitKind::BlockedSync);
                 }
             }
@@ -277,7 +258,7 @@ impl Kernel {
     fn block_activation(&mut self, cpu: usize, a: ActId, wait: WaitKind) {
         let space = self.acts[a.index()].space;
         debug_assert!(matches!(self.cpus[cpu].running, Running::Act(x) if x == a));
-        self.note_blocked_wait(space, wait, 1);
+        self.obs.wait(space, wait, 1, self.q.now());
         self.trace.event(self.q.now(), || TraceEvent::Block {
             space: space.0,
             cpu: cpu as u32,
@@ -340,7 +321,7 @@ impl Kernel {
             SyscallOutcome::IoDone => WaitKind::BlockedIo,
             _ => WaitKind::BlockedSync,
         };
-        self.note_blocked_wait(space, wait, -1);
+        self.obs.wait(space, wait, -1, self.q.now());
         let sa = &mut self.spaces[space.index()].sa;
         sa.blocked.retain(|&x| x != a);
         sa.discarded.push(a);
@@ -538,10 +519,6 @@ impl Kernel {
         let space = self.acts[a.index()].space;
         let decision = self.note_victim_decision(cpu, space, reason);
         self.spaces[space.index()].metrics.preemptions.inc();
-        // Charge the IPI + state save to the space losing the processor.
-        self.spaces[space.index()]
-            .metrics
-            .charge_kernel(self.cost.act_stop_and_save);
         let saved = self.saved_context_from_inflight(cpu);
         self.bump_gen(cpu);
         self.acts[a.index()].state = ActState::Discarded;

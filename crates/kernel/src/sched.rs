@@ -11,12 +11,12 @@
 //! plus two indexes that keep every operation cheap:
 //!
 //! - a per-`KtId` **membership table** (`member`) recording the level and a
-//!   push stamp, making [`ReadyQueue::remove`] O(1): the entry is
+//!   push stamp, making `ReadyQueue::remove` O(1): the entry is
 //!   tombstoned in place and reaped when a pop reaches it. A stamp (not
 //!   just the level) distinguishes a live re-push from an old tombstone of
 //!   the same thread at the same level;
 //! - a cached **level bitmask** (`mask`), one bit per non-empty priority
-//!   level, so [`ReadyQueue::max_prio`] and [`ReadyQueue::has_at_least`]
+//!   level, so `ReadyQueue::max_prio` and `ReadyQueue::has_at_least`
 //!   are a handful of word operations instead of a scan over all levels.
 //!   These run on every dispatch/preemption decision, which made the old
 //!   linear scans the scheduler's hottest loop.

@@ -181,9 +181,7 @@ impl Space {
         slot(&mut self.kcvs, cv.index())
     }
 
-    /// True for scheduler-activation spaces (used by the debug-build
-    /// invariant checks).
-    #[cfg_attr(not(debug_assertions), expect(dead_code))]
+    /// True for scheduler-activation spaces.
     pub(crate) fn is_sa(&self) -> bool {
         matches!(self.kind, SpaceKind::UserOnSa)
     }

@@ -180,13 +180,17 @@ impl TimeLedger {
     }
 
     /// Zeroes all wait gauges of `space` at `now` (space teardown: any
-    /// still-waiting threads are being destroyed, not served).
-    pub fn clear_waits(&mut self, space: usize, now: SimTime) {
+    /// still-waiting threads are being destroyed, not served). Returns
+    /// the levels dropped, indexed in `WaitKind::ALL` order.
+    pub fn clear_waits(&mut self, space: usize, now: SimTime) -> [i64; WaitKind::COUNT] {
+        let mut levels = [0; WaitKind::COUNT];
         if let Some(w) = self.waits.get_mut(space) {
-            for g in w.iter_mut() {
+            for (g, level) in w.iter_mut().zip(&mut levels) {
+                *level = g.level();
                 g.set(now, 0);
             }
         }
+        levels
     }
 
     /// Number of CPUs.

@@ -29,5 +29,5 @@ pub use paged::{PagedVec, SharedPage};
 pub use rng::SimRng;
 pub use span::{Span, SpanBook, SpanPhase};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceRecord, Tracer, UpcallKind};
+pub use trace::{Trace, TraceEvent, TraceRecord, UpcallKind};
 pub use window::WindowedLedger;

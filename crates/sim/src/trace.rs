@@ -68,9 +68,7 @@ impl fmt::Display for UpcallKind {
 /// Ids are raw integers (`sa_sim` sits below the kernel's newtyped id
 /// layer): `space` is an address-space id, `cpu` a physical processor
 /// index, `act` an activation id, `vp` a virtual processor number, `kt`
-/// a kernel-thread id. The [`TraceEvent::Custom`] variant carries the
-/// old stringly `(tag, detail)` shape for ad-hoc emissions and keeps
-/// pre-existing sequence tests working.
+/// a kernel-thread id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // id fields follow the naming convention above
 pub enum TraceEvent {
@@ -170,13 +168,10 @@ pub enum TraceEvent {
         /// Kernel-thread or user-thread id, per the space's substrate.
         thread: u32,
     },
-    /// Ad-hoc emission: the legacy `(tag, detail)` shape.
-    Custom(&'static str, String),
 }
 
 impl TraceEvent {
-    /// Dot-separated category, e.g. `"kernel.upcall"` — stable across
-    /// the typed rewrite so tag-filtered assertions keep working.
+    /// Dot-separated category, e.g. `"kernel.upcall"`.
     pub fn tag(&self) -> &'static str {
         match self {
             TraceEvent::SpaceStart { .. } => "kernel.space_start",
@@ -202,7 +197,6 @@ impl TraceEvent {
             TraceEvent::DebugStop { .. } => "kernel.debug_stop",
             TraceEvent::DebugResume { .. } => "kernel.debug_resume",
             TraceEvent::SpanBind { .. } => "span.bind",
-            TraceEvent::Custom(tag, _) => tag,
         }
     }
 }
@@ -298,7 +292,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::SpanBind { req, space, thread } => {
                 write!(f, "req{req} -> t{thread} for as{space}")
             }
-            TraceEvent::Custom(_, detail) => f.write_str(detail),
         }
     }
 }
@@ -334,73 +327,60 @@ enum Mode {
 
 /// An in-memory trace buffer, optionally ring-bounded.
 ///
-/// The zero-cost-when-disabled emission handle: [`Tracer::event`] takes
-/// a closure, so a [`Tracer::disabled`] trace never constructs the
+/// The zero-cost-when-disabled emission handle: [`Trace::event`] takes
+/// a closure, so a [`Trace::disabled`] trace never constructs the
 /// event (no formatting, no allocation — measured by the
 /// `tracing_overhead` entry in `BENCH_engine.json`).
 ///
-/// [`Tracer::bounded`] keeps only the most recent records (a ring
+/// [`Trace::bounded`] keeps only the most recent records (a ring
 /// buffer — long multi-copy sweeps like Table 5 under tracing cannot
-/// grow without bound), while [`Tracer::unbounded`] retains everything
+/// grow without bound), while [`Trace::unbounded`] retains everything
 /// (byte-identical record streams for determinism comparisons, at the
 /// cost of memory proportional to run length).
 #[derive(Debug)]
-pub struct Tracer {
+pub struct Trace {
     mode: Mode,
-    echo: bool,
     records: VecDeque<TraceRecord>,
     dropped: u64,
 }
 
-/// The original name of the [`Tracer`] handle, kept as an alias.
-pub type Trace = Tracer;
-
-impl Default for Tracer {
+impl Default for Trace {
     fn default() -> Self {
         Self::disabled()
     }
 }
 
-impl Tracer {
+impl Trace {
     /// A trace that records nothing (the default for experiments).
     /// Unlike an enabled zero-capacity ring, a disabled trace does not
     /// count drops: nothing was asked for, so nothing is "lost".
     pub fn disabled() -> Self {
-        Tracer {
+        Trace {
             mode: Mode::Disabled,
-            echo: false,
             records: VecDeque::new(),
             dropped: 0,
         }
     }
 
     /// A trace that keeps the most recent `capacity` records, evicting
-    /// the oldest (and counting it in [`Tracer::dropped`]) once full.
+    /// the oldest (and counting it in [`Trace::dropped`]) once full.
     pub fn bounded(capacity: usize) -> Self {
-        Tracer {
+        Trace {
             mode: Mode::Ring(capacity),
-            echo: false,
             records: VecDeque::with_capacity(capacity.min(4096)),
             dropped: 0,
         }
     }
 
     /// A trace that retains every record for the lifetime of the run.
-    /// Memory grows with run length — prefer [`Tracer::bounded`] for
+    /// Memory grows with run length — prefer [`Trace::bounded`] for
     /// long or multi-copy sweeps.
     pub fn unbounded() -> Self {
-        Tracer {
+        Trace {
             mode: Mode::Unbounded,
-            echo: false,
             records: VecDeque::new(),
             dropped: 0,
         }
-    }
-
-    /// Also print each record to stdout as it is emitted (for examples).
-    pub fn with_echo(mut self) -> Self {
-        self.echo = true;
-        self
     }
 
     /// True if records are being kept.
@@ -416,9 +396,6 @@ impl Tracer {
             return;
         }
         let rec = TraceRecord { at, event: make() };
-        if self.echo {
-            println!("[{at}] {}: {}", rec.tag(), rec.event);
-        }
         match self.mode {
             Mode::Disabled => unreachable!("checked above"),
             Mode::Ring(0) => {
@@ -436,21 +413,9 @@ impl Tracer {
         self.records.push_back(rec);
     }
 
-    /// Emits a [`TraceEvent::Custom`] record if tracing is enabled.
-    ///
-    /// `detail` is a closure so disabled traces pay no formatting cost.
-    pub fn emit(&mut self, at: SimTime, tag: &'static str, detail: impl FnOnce() -> String) {
-        self.event(at, || TraceEvent::Custom(tag, detail()));
-    }
-
     /// All retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
-    }
-
-    /// Records whose tag matches exactly, oldest first.
-    pub fn with_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records.iter().filter(move |r| r.tag() == tag)
     }
 
     /// Number of records evicted because the buffer was full. A
@@ -469,46 +434,49 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    fn wake(daemon: u32) -> TraceEvent {
+        TraceEvent::DaemonWake { daemon }
+    }
+
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut tr = Tracer::disabled();
-        tr.emit(t(1), "x", || "should not format".into());
+        let mut tr = Trace::disabled();
+        tr.event(t(1), || wake(0));
         assert_eq!(tr.records().count(), 0);
     }
 
     #[test]
     fn disabled_trace_skips_formatting() {
-        let mut tr = Tracer::disabled();
-        tr.emit(t(1), "x", || panic!("formatted while disabled"));
-        tr.event(t(2), || panic!("constructed while disabled"));
+        let mut tr = Trace::disabled();
+        tr.event(t(1), || panic!("constructed while disabled"));
         assert_eq!(tr.records().count(), 0);
     }
 
     #[test]
     fn disabled_trace_counts_no_drops() {
-        let mut tr = Tracer::disabled();
+        let mut tr = Trace::disabled();
         for i in 0..100 {
-            tr.emit(t(i), "x", String::new);
+            tr.event(t(i), || wake(0));
         }
         assert_eq!(tr.dropped(), 0, "disabled is off, not a zero-size ring");
     }
 
     #[test]
     fn bounded_trace_keeps_recent() {
-        let mut tr = Tracer::bounded(2);
-        tr.emit(t(1), "a", || "1".into());
-        tr.emit(t(2), "b", || "2".into());
-        tr.emit(t(3), "c", || "3".into());
-        let tags: Vec<_> = tr.records().map(|r| r.tag()).collect();
-        assert_eq!(tags, vec!["b", "c"]);
+        let mut tr = Trace::bounded(2);
+        for d in 1..=3 {
+            tr.event(t(d as u64), || wake(d));
+        }
+        let kept: Vec<_> = tr.records().map(|r| r.event.clone()).collect();
+        assert_eq!(kept, vec![wake(2), wake(3)]);
         assert_eq!(tr.dropped(), 1);
     }
 
     #[test]
     fn unbounded_trace_retains_everything() {
-        let mut tr = Tracer::unbounded();
+        let mut tr = Trace::unbounded();
         for i in 0..10_000u64 {
-            tr.emit(t(i), "x", String::new);
+            tr.event(t(i), || wake(0));
         }
         assert_eq!(tr.records().count(), 10_000);
         assert_eq!(tr.dropped(), 0);
@@ -516,39 +484,11 @@ mod tests {
 
     #[test]
     fn bounded_zero_drops_every_record() {
-        let mut tr = Tracer::bounded(0);
-        tr.emit(t(1), "a", || "1".into());
-        tr.emit(t(2), "b", || "2".into());
+        let mut tr = Trace::bounded(0);
+        tr.event(t(1), || wake(1));
+        tr.event(t(2), || wake(2));
         assert_eq!(tr.records().count(), 0);
         assert_eq!(tr.dropped(), 2);
-    }
-
-    #[test]
-    fn with_tag_filters_typed_and_custom_alike() {
-        let mut tr = Tracer::bounded(16);
-        tr.event(t(1), || TraceEvent::Upcall {
-            kind: UpcallKind::AddProcessor,
-            space: 1,
-            cpu: 0,
-            act: 7,
-            vp: None,
-        });
-        tr.emit(t(2), "uthread.spin", || "b".into());
-        tr.event(t(3), || TraceEvent::Upcall {
-            kind: UpcallKind::Blocked,
-            space: 1,
-            cpu: 2,
-            act: 8,
-            vp: Some(0),
-        });
-        let kinds: Vec<_> = tr
-            .with_tag("kernel.upcall")
-            .map(|r| match &r.event {
-                TraceEvent::Upcall { kind, .. } => *kind,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(kinds, vec![UpcallKind::AddProcessor, UpcallKind::Blocked]);
     }
 
     #[test]

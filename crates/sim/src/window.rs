@@ -3,7 +3,7 @@
 //!
 //! A [`WindowedLedger`] receives the same charge stream as the flat
 //! ledger — every CPU·ns interval classified into a
-//! [`CpuState`](crate::CpuState), plus the thread·ns wait gauges — but
+//! [`CpuState`], plus the thread·ns wait gauges — but
 //! distributes each interval across fixed-width windows, splitting
 //! exactly at window boundaries. The result is a deterministic time
 //! series of ledger-state shares and mean wait backlogs, with the same
@@ -36,9 +36,6 @@ pub struct WindowedLedger {
     /// Machine-wide current wait levels and their last change time.
     wait_level: [i64; WaitKind::COUNT],
     wait_last_ns: [u64; WaitKind::COUNT],
-    /// Per-space contribution to `wait_level`, so a finished space can
-    /// be cleared exactly (mirrors `TimeLedger::clear_waits`).
-    space_levels: Vec<[i64; WaitKind::COUNT]>,
 }
 
 impl WindowedLedger {
@@ -53,7 +50,6 @@ impl WindowedLedger {
             wait_area: Vec::new(),
             wait_level: [0; WaitKind::COUNT],
             wait_last_ns: [0; WaitKind::COUNT],
-            space_levels: Vec::new(),
         }
     }
 
@@ -149,35 +145,14 @@ impl WindowedLedger {
         self.wait_last_ns[kind] = now_ns;
     }
 
-    /// Adjusts the wait gauge of `kind` for `space` by `delta` threads
-    /// at `now`. Mirrors `TimeLedger::note_wait`.
-    pub fn note_wait(&mut self, space: usize, kind: WaitKind, now: SimTime, delta: i64) {
+    /// Adjusts the machine-wide wait gauge of `kind` by `delta` threads
+    /// at `now`. A finished space's threads leave with the negated
+    /// levels [`TimeLedger::clear_waits`](crate::TimeLedger::clear_waits)
+    /// returns.
+    pub fn note_wait(&mut self, kind: WaitKind, now: SimTime, delta: i64) {
         let ki = kind.index();
-        let now_ns = now.as_nanos();
-        self.integrate(ki, now_ns);
+        self.integrate(ki, now.as_nanos());
         self.wait_level[ki] += delta;
-        if self.space_levels.len() <= space {
-            self.space_levels.resize(space + 1, [0; WaitKind::COUNT]);
-        }
-        self.space_levels[space][ki] += delta;
-    }
-
-    /// Zeroes all wait gauges contributed by `space` at `now` (the space
-    /// finished; its last threads stop waiting). Mirrors
-    /// `TimeLedger::clear_waits`.
-    pub fn clear_space(&mut self, space: usize, now: SimTime) {
-        if space >= self.space_levels.len() {
-            return;
-        }
-        let now_ns = now.as_nanos();
-        for ki in 0..WaitKind::COUNT {
-            let level = self.space_levels[space][ki];
-            if level != 0 {
-                self.integrate(ki, now_ns);
-                self.wait_level[ki] -= level;
-                self.space_levels[space][ki] = 0;
-            }
-        }
     }
 
     /// Integrates every wait gauge up to `now` so window areas reflect
@@ -272,8 +247,8 @@ mod tests {
         let mut w = WindowedLedger::new(us(100), 1);
         // Two threads ready from 50us to 170us: window 0 gets 2*50us,
         // window 1 gets 2*70us.
-        w.note_wait(0, WaitKind::Ready, t(50), 2);
-        w.note_wait(0, WaitKind::Ready, t(170), -2);
+        w.note_wait(WaitKind::Ready, t(50), 2);
+        w.note_wait(WaitKind::Ready, t(170), -2);
         w.seal(t(200));
         assert_eq!(w.wait_area_ns(0, WaitKind::Ready), 100_000);
         assert_eq!(w.wait_area_ns(1, WaitKind::Ready), 140_000);
@@ -283,19 +258,29 @@ mod tests {
 
     #[test]
     fn clear_space_drops_only_that_spaces_level() {
+        // The flat ledger keeps the per-space levels; the levels its
+        // `clear_waits` drops leave the machine-wide windowed gauge.
+        let mut flat = crate::TimeLedger::new(1);
         let mut w = WindowedLedger::new(us(100), 1);
-        w.note_wait(0, WaitKind::BlockedIo, t(0), 3);
-        w.note_wait(1, WaitKind::BlockedIo, t(0), 1);
-        w.clear_space(0, t(50));
+        for (space, n) in [(0, 3), (1, 1)] {
+            flat.note_wait(space, WaitKind::BlockedIo, t(0), n);
+            w.note_wait(WaitKind::BlockedIo, t(0), n);
+        }
+        let levels = flat.clear_waits(0, t(50));
+        assert_eq!(levels, [0, 3, 0]);
+        for (kind, level) in WaitKind::ALL.into_iter().zip(levels) {
+            w.note_wait(kind, t(50), -level);
+        }
         w.seal(t(100));
         // 4 threads for 50us, then 1 thread for 50us.
         assert_eq!(w.wait_area_ns(0, WaitKind::BlockedIo), 250_000);
+        assert_eq!(flat.wait_ns(1, WaitKind::BlockedIo, t(100)), 100_000);
     }
 
     #[test]
     fn seal_is_idempotent() {
         let mut w = WindowedLedger::new(us(100), 1);
-        w.note_wait(0, WaitKind::Ready, t(0), 1);
+        w.note_wait(WaitKind::Ready, t(0), 1);
         w.seal(t(80));
         w.seal(t(80));
         assert_eq!(w.wait_area_ns(0, WaitKind::Ready), 80_000);
