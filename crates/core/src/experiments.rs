@@ -1,9 +1,9 @@
 //! Experiment harnesses: one function per paper result.
 //!
 //! These compose `sa-workload` bodies with [`crate::SystemBuilder`] runs
-//! and reduce the measurements the way the paper does. The bench targets
-//! in `sa-bench` print their output; integration tests assert on their
-//! shapes.
+//! and reduce the measurements the way the paper does. [`crate::sweeps`]
+//! fans them out into whole tables and figures, the `sa-experiments`
+//! binary prints them, and integration tests assert on their shapes.
 
 use crate::scenario::PolicyConfig;
 use crate::{AppSpec, SystemBuilder, ThreadApi};

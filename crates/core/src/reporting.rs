@@ -1,11 +1,11 @@
 //! Machine-readable benchmark reporting (no serde in the tree — see
 //! `DESIGN.md` §6 — so emission is hand-rolled here, *with* escaping).
 //!
-//! `sa-experiments engine-bench` and the bench harnesses both emit flat
-//! `{name, ops_per_sec, detail}` records; this module owns the JSON
-//! encoding so free-form `detail`/`name` strings can never produce
-//! invalid JSON (the previous writer interpolated them raw, so a quote
-//! or backslash in a detail line would have corrupted
+//! `sa-experiments engine-bench` emits flat `{name, ops_per_sec,
+//! detail}` records and `sa-bench-check` reads them back; this module
+//! owns the JSON encoding so free-form `detail`/`name` strings can never
+//! produce invalid JSON (the previous writer interpolated them raw, so a
+//! quote or backslash in a detail line would have corrupted
 //! `BENCH_engine.json`).
 
 use std::fmt::Write as _;
@@ -112,11 +112,6 @@ pub fn bench_lines_json_with_host(lines: &[BenchLine], host: Option<&HostInfo>) 
     }
     json.push_str("  ]\n}\n");
     json
-}
-
-/// Writes bench lines to `path` as JSON.
-pub fn write_bench_json(path: &str, lines: &[BenchLine]) -> std::io::Result<()> {
-    std::fs::write(path, bench_lines_json(lines))
 }
 
 /// Writes bench lines plus host context to `path` as JSON.

@@ -102,7 +102,7 @@ pub fn fig1_grid(
 
 /// The Figure 2 sweep: N-body runs vs. available memory for the three
 /// systems (plus, optionally, the tuned-upcall scheduler-activation
-/// column the bench target prints).
+/// column `sa-experiments ablations` prints).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Sweep {
     /// One row per memory fraction: `(fraction, [run per column])`.

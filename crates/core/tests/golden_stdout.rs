@@ -4,7 +4,8 @@
 //!
 //! 1. The scenario runner under the implicit defaults reproduces the
 //!    committed `tests/golden/*.stdout` files byte for byte (the same
-//!    diff CI performs in release mode).
+//!    diff CI performs in release mode), and so do the paper tables
+//!    without a scenario (`table1`, `table4`, `upcall`).
 //! 2. Passing the default pair *explicitly* (`--alloc=even
 //!    --ready=local`) is byte-identical to passing nothing at all, for
 //!    `run`, `trace`, and `profile` alike — the flags select policies,
@@ -12,7 +13,10 @@
 //!    must change the output, proving the flags are actually wired
 //!    through rather than parsed and dropped.
 //!
-//! The usage text printed on a bad flag lists every policy the flags
+//! The `--list` texts and the usage text printed on a bad flag are pinned
+//! by golden files too. `--list` after a subcommand lists what its
+//! argument names: scenarios after `run`/`trace`/`profile`, SLO profiles
+//! after `slo`/`audit`. The usage text lists every policy the flags
 //! accept, and `--spaces` reaches exactly the subcommands that take it.
 
 use sa_kernel::AllocPolicyKind;
@@ -38,19 +42,32 @@ fn sa_experiments(args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
+fn golden(name: &str) -> Vec<u8> {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 #[test]
 fn run_defaults_reproduce_committed_goldens() {
-    for name in ["fig1", "fig2", "table5"] {
-        let golden_path = format!(
-            "{}/../../tests/golden/{name}.stdout",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let golden =
-            std::fs::read(&golden_path).unwrap_or_else(|e| panic!("read {golden_path}: {e}"));
-        let stdout = sa_experiments(&["run", name]);
+    for (args, name) in [
+        (&["run", "fig1"][..], "fig1.stdout"),
+        (&["run", "fig2"], "fig2.stdout"),
+        (&["run", "table5"], "table5.stdout"),
+        (&["table1"], "table1.stdout"),
+        (&["table4"], "table4.stdout"),
+        (&["upcall"], "upcall.stdout"),
+        (&["--list"], "list.stdout"),
+        (&["run", "--list"], "run-list.stdout"),
+        (&["trace", "--list"], "run-list.stdout"),
+        (&["profile", "--list"], "run-list.stdout"),
+        (&["slo", "--list"], "slo-list.stdout"),
+        (&["audit", "--list"], "slo-list.stdout"),
+    ] {
+        let stdout = sa_experiments(args);
         assert!(
-            stdout == golden,
-            "`run {name}` diverged from tests/golden/{name}.stdout:\n{}",
+            stdout == golden(name),
+            "`sa-experiments {}` diverged from tests/golden/{name}:\n{}",
+            args.join(" "),
             String::from_utf8_lossy(&stdout)
         );
     }
@@ -108,7 +125,7 @@ fn unknown_flag_usage_lists_every_policy() {
         .expect("spawn sa-experiments");
     assert_eq!(out.status.code(), Some(2), "bad flag must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag '--no-such-flag'"), "{stderr}");
+    assert_eq!(stderr, String::from_utf8_lossy(&golden("usage.stderr")));
     for (flag, names) in [
         ("--alloc", AllocPolicyKind::ALL.map(|k| k.name()).to_vec()),
         ("--ready", ReadyPolicyKind::ALL.map(|k| k.name()).to_vec()),

@@ -166,24 +166,6 @@ pub fn run_ordered<'env, T: Send>(
     Ok(out)
 }
 
-/// Maps `f` over `items` across up to `jobs` worker threads, returning
-/// results in item order. Convenience wrapper over [`run_ordered`] for
-/// sweeps whose cells share one closure.
-pub fn par_map<I, T, F>(jobs: NonZeroUsize, items: Vec<I>, f: F) -> Result<Vec<T>, PanickedJob>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let f = &f;
-    let tasks: Vec<Job<'_, T>> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, item)| -> Job<'_, T> { Box::new(move || f(i, item)) })
-        .collect();
-    run_ordered(jobs, tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,16 +248,6 @@ mod tests {
         let err = run_ordered(jobs(3), tasks).unwrap_err();
         assert_eq!(err.index, 2);
         assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
-    fn par_map_preserves_item_order() {
-        let out = par_map(jobs(4), (0..32).collect::<Vec<i64>>(), |i, item| {
-            assert_eq!(i as i64, item);
-            item * 2
-        })
-        .unwrap();
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<i64>>());
     }
 
     #[test]

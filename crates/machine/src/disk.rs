@@ -4,8 +4,8 @@
 //! miss, noting that "our measurements were qualitatively similar when we
 //! took contention for the disk into account" (§5.3). We support both: the
 //! default [`DiskModel::FixedLatency`] reproduces the paper's setup; the
-//! [`DiskModel::Queued`] single-server model adds FIFO contention for the
-//! ablation benches.
+//! [`DiskModel::Queued`] single-server model adds FIFO contention (a
+//! system test checks that it serializes overlapping requests).
 
 use sa_sim::{SimDuration, SimTime};
 

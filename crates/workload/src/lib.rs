@@ -17,7 +17,7 @@
 //!   (Poisson/bursty/diurnal arrivals, Pareto service times, per-request
 //!   span tracking across many shards);
 //! - [`synthetic`] — fork-join trees, task queues and lock ladders for
-//!   ablation benches and property tests.
+//!   the ablations and property tests.
 
 pub mod bufcache;
 pub mod micro;

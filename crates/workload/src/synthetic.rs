@@ -1,4 +1,4 @@
-//! Synthetic workload generators for tests and ablation benches.
+//! Synthetic workload generators for tests and the ablations.
 
 use sa_machine::ids::{LockId, ThreadRef};
 use sa_machine::program::{ComputeBody, FnBody, Op, OpResult, ThreadBody};
