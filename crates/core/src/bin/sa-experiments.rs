@@ -23,22 +23,22 @@
 //! table.
 
 use sa_core::audit::{audit_counter_series, render_audit_csv, render_audit_table, run_audit};
-use sa_core::experiments::EngineThroughput;
-use sa_core::profile::{render_folded, render_json, render_table, run_profile_with};
-use sa_core::reporting::{write_bench_json_with_host, BenchLine, HostInfo, Table};
-use sa_core::scenario::{self, PolicyConfig};
-use sa_core::slo;
-use sa_core::sweeps::{
-    fig1_grid_throughput, fig2_sweep, latency_rows, table5_runs, upcall_measurements,
+use sa_core::experiments::{
+    fig1_grid_throughput, run_cells, thread_op_latencies, topaz_signal_wait, upcall_signal_wait,
+    EngineThroughput, NBodyCell, NBodyRun, ThreadOpLatencies,
 };
+use sa_core::profile::{render_folded, render_json, render_table, run_profile, traced_system};
+use sa_core::reporting::{write_bench_json_with_host, BenchLine, HostInfo, Table};
+use sa_core::scenario::{self, fig2_cells, table5_cells, PolicyConfig, FIG2_FRACTIONS};
+use sa_core::slo;
 use sa_core::trace_export::{perfetto_counters_json, perfetto_json, text_log};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
-use sa_harness::{jobs_from_env, parse_jobs, run_ordered, Job};
+use sa_harness::{jobs_from_env, parse_jobs, run_ordered, Job, PanickedJob};
 use sa_kernel::{AllocPolicyKind, DaemonSpec};
 use sa_machine::CostModel;
 use sa_sim::{EventQueue, SimDuration, SimTime, Trace, UpcallKind};
 use sa_uthread::{CriticalSectionMode, ReadyPolicyKind, SpinPolicy};
-use sa_workload::nbody::{nbody_parallel, NBodyConfig};
+use sa_workload::nbody::NBodyConfig;
 use sa_workload::synthetic::contended_ladder;
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -231,15 +231,18 @@ const SUBCOMMANDS: &[Subcommand] = &[
         )
     },
     Subcommand {
-        usage: &["slo <profile> [--requests N] [--spaces N] [--out FILE] \
-                  [--format table|csv|perfetto]"],
+        usage: &[
+            "slo <profile> [--alloc=P] [--ready=P] [--requests N] [--spaces N] \
+                  [--out FILE] [--format table|csv|perfetto]",
+        ],
         flags: SLO_FLAGS,
         arg: Arg::Profile,
         default: Some("slo_poisson"),
         formats: &["table", "csv", "perfetto"],
         ..Subcommand::plain(
             "slo",
-            "slo <profile> [--requests N] [--spaces N] [--out F] [--format table|csv|perfetto]",
+            "slo <profile> [--alloc=P] [--ready=P] [--requests N] [--spaces N] [--out F] \
+             [--format table|csv|perfetto]",
             slo_cmd,
         )
     },
@@ -351,9 +354,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> 
         };
         let value = match inline {
             Some(v) => v,
-            None => args
-                .next()
-                .ok_or_else(|| format!("{flag} requires {wants}"))?,
+            None => args.next().ok_or_else(|| match row {
+                Some(c) if flag == "--format" && !c.formats.is_empty() => {
+                    format!("--format requires a value ({})", c.formats.join("|"))
+                }
+                _ => format!("{flag} requires {wants}"),
+            })?,
         };
         match flag {
             "--jobs" => jobs = Some(parse_jobs(&value).map_err(|e| format!("--jobs: {e}"))?),
@@ -444,6 +450,15 @@ fn join_and(items: &[String]) -> String {
 
 fn usage() -> String {
     let names: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
+    // The subcommands whose `--list` lists what their argument names.
+    let listers = |kind: Arg| {
+        let names: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .filter(|c| c.arg == kind)
+            .map(|c| c.name)
+            .collect();
+        names.join("|")
+    };
     let mut text = format!(
         "usage: sa-experiments [--jobs N] [--list] [{}]\n",
         names.join("|")
@@ -460,9 +475,12 @@ fn usage() -> String {
          --requests N override the SLO profile's request count (quick runs)\n\
          --spaces N   fan the SLO generator across N address spaces (aggregate\n\
          \u{20}             arrival rate preserved; exercises the processor allocator)\n\
-         --list       list subcommands (or, after 'run'/'slo', scenarios) and exit",
+         --list       list subcommands and exit; after {}, the\n\
+         \u{20}             scenarios; after {}, the SLO profiles",
         AllocPolicyKind::ALL.map(|k| k.name()).join("|"),
         ReadyPolicyKind::ALL.map(|k| k.name()).join("|"),
+        listers(Arg::Scenario),
+        listers(Arg::Profile),
     ));
     text
 }
@@ -499,8 +517,21 @@ fn main() {
     }
 }
 
+/// Measures Null Fork / Signal-Wait for each `(api, critical-section
+/// mode)` row on up to `jobs` host threads: the Table 1 / Table 4 rows.
+fn latency_rows(
+    rows: impl Iterator<Item = (ThreadApi, CriticalSectionMode)>,
+    jobs: NonZeroUsize,
+) -> Result<Vec<ThreadOpLatencies>, PanickedJob> {
+    let tasks = rows
+        .map(|(api, critical)| -> Job<'static, ThreadOpLatencies> {
+            Box::new(move || thread_op_latencies(api, CostModel::firefly_prototype(), critical))
+        })
+        .collect();
+    run_ordered(jobs, tasks)
+}
+
 fn table1(o: &Options) -> CmdResult {
-    let cost = CostModel::firefly_prototype();
     let rows = [
         ("FastThreads", ThreadApi::OrigFastThreads { vps: 1 }, 34, 37),
         ("Topaz threads", ThreadApi::TopazThreads, 948, 441),
@@ -508,9 +539,8 @@ fn table1(o: &Options) -> CmdResult {
     ];
     let specs = rows
         .iter()
-        .map(|(_, api, _, _)| (api.clone(), CriticalSectionMode::ZeroOverhead))
-        .collect();
-    let measured = latency_rows(specs, &cost, o.jobs)?;
+        .map(|(_, api, _, _)| (api.clone(), CriticalSectionMode::ZeroOverhead));
+    let measured = latency_rows(specs, o.jobs)?;
     println!("Table 1: Thread Operation Latencies (usec.)");
     println!(
         "{:<20} {:>10} {:>8} {:>12} {:>8}",
@@ -528,7 +558,6 @@ fn table1(o: &Options) -> CmdResult {
 
 fn table4(o: &Options) -> CmdResult {
     use CriticalSectionMode::{ExplicitFlag, ZeroOverhead};
-    let cost = CostModel::firefly_prototype();
     let orig = ThreadApi::OrigFastThreads { vps: 1 };
     let sa = ThreadApi::SchedulerActivations { max_processors: 1 };
     let rows = [
@@ -558,9 +587,8 @@ fn table4(o: &Options) -> CmdResult {
     ];
     let specs = rows
         .iter()
-        .map(|(_, api, critical, _, _)| (api.clone(), *critical))
-        .collect();
-    let measured = latency_rows(specs, &cost, o.jobs)?;
+        .map(|(_, api, critical, _, _)| (api.clone(), *critical));
+    let measured = latency_rows(specs, o.jobs)?;
     println!("Table 4: Thread Operation Latencies incl. scheduler activations (usec.)");
     for ((name, _api, _critical, nf, sw), r) in rows.iter().zip(&measured) {
         println!(
@@ -573,23 +601,30 @@ fn table4(o: &Options) -> CmdResult {
 }
 
 fn upcall(o: &Options) -> CmdResult {
-    let m = upcall_measurements(o.jobs)?;
+    let tasks: Vec<Job<'static, SimDuration>> = vec![
+        Box::new(|| upcall_signal_wait(CostModel::firefly_prototype())),
+        Box::new(|| topaz_signal_wait(CostModel::firefly_prototype())),
+        Box::new(|| upcall_signal_wait(CostModel::tuned())),
+    ];
+    let [proto, topaz, tuned] = run_ordered(o.jobs, tasks)?[..] else {
+        unreachable!("three measurements submitted");
+    };
     println!("5.2 upcall performance:");
     println!(
         "  kernel-forced signal-wait (prototype): {:.0} usec (paper ~2400)",
-        m.proto.as_micros_f64()
+        proto.as_micros_f64()
     );
     println!(
         "  Topaz signal-wait:                     {:.0} usec (paper 441)",
-        m.topaz.as_micros_f64()
+        topaz.as_micros_f64()
     );
     println!(
         "  ratio: {:.1}x (paper ~5x)",
-        m.proto.as_micros_f64() / m.topaz.as_micros_f64()
+        proto.as_micros_f64() / topaz.as_micros_f64()
     );
     println!(
         "  kernel-forced signal-wait (tuned):     {:.0} usec",
-        m.tuned.as_micros_f64()
+        tuned.as_micros_f64()
     );
     Ok(())
 }
@@ -625,34 +660,24 @@ fn all(o: &Options) -> CmdResult {
 
 /// Runs a traced scenario and exports the result.
 ///
-/// Any registry scenario is traceable: the system runs the scenario's
-/// scaled-down [`scenario::traced_apps`] workload (150-body one-step
-/// N-body copies, the closed server, or the open-loop SLO generator at
-/// a reduced request count) under scheduler activations, so an
-/// *unbounded* trace of every segment stays a reasonable size.
+/// Any registry scenario is traceable: the system is the profiler's
+/// [`traced_system`] running the scenario's scaled-down
+/// [`scenario::traced_apps`] workload (150-body one-step N-body copies,
+/// the closed server, or the open-loop SLO generator at a reduced
+/// request count) under scheduler activations, so an *unbounded* trace
+/// of every segment stays a reasonable size.
 fn trace_cmd(o: &Options) -> CmdResult {
     let sc = o.scenario();
-    // Machine size and workload shape from the scenario descriptor, not
-    // local constants.
     let cpus = sc.cpus;
-    let mut builder = SystemBuilder::new(cpus)
-        .cost(CostModel::firefly_prototype())
-        .seed(0x5eed)
-        .alloc_policy(o.policies.alloc)
-        .daemons(DaemonSpec::topaz_default_set())
-        .trace(Trace::unbounded());
-    let mut app_names = Vec::new();
-    for mut app in scenario::traced_apps(
-        sc,
+    let apps = scenario::traced_apps(
+        sc.name,
+        sc.traced,
         &ThreadApi::SchedulerActivations {
             max_processors: cpus as u32,
         },
-    ) {
-        app.ready_policy = o.policies.ready;
-        app_names.push(app.name.clone());
-        builder = builder.app(app);
-    }
-    let mut sys = builder.build();
+    );
+    let app_names: Vec<String> = apps.iter().map(|app| app.name.clone()).collect();
+    let mut sys = traced_system(cpus, o.policies, apps);
     let report = sys.run();
     assert!(report.all_done(), "trace scenario: {:?}", report.outcome);
     let output = match o.format {
@@ -695,7 +720,7 @@ fn trace_cmd(o: &Options) -> CmdResult {
 
 /// Runs the where-the-time-goes profiler and exports the result.
 fn profile_cmd(o: &Options) -> CmdResult {
-    let profile = run_profile_with(o.arg, o.policies, o.jobs)?;
+    let profile = run_profile(o.arg, o.policies, o.jobs)?;
     let output = match o.format {
         "table" => render_table(&profile),
         "folded" => render_folded(&profile),
@@ -738,62 +763,6 @@ fn audit_cmd(o: &Options) -> CmdResult {
             report.decisions.total,
             report.tail.len()
         )
-    })
-}
-
-/// One ablation N-body run: the mean elapsed time of its copies, and
-/// how many activations its spaces took from the recycle cache (§4.3).
-struct AblationRun {
-    mean: SimDuration,
-    acts_cached: u64,
-    acts_fresh: u64,
-}
-
-/// Runs `copies` N-body applications under scheduler activations;
-/// `None` if they did not finish within 120 virtual seconds.
-fn ablation_nbody(
-    cpus: u16,
-    critical: CriticalSectionMode,
-    lock_policy: SpinPolicy,
-    cost: CostModel,
-    copies: usize,
-    frac: f64,
-) -> Option<AblationRun> {
-    let mut builder = SystemBuilder::new(cpus)
-        .cost(cost)
-        .daemons(DaemonSpec::topaz_default_set())
-        // A short leash: the no-recovery configurations can livelock
-        // (that is the point of §3.3); report instead of hanging.
-        .run_limit(SimTime::from_millis(120_000));
-    for i in 0..copies {
-        let cfg = NBodyConfig {
-            memory_fraction: frac,
-            seed: 42 + i as u64,
-            ..NBodyConfig::default()
-        };
-        let (body, _h) = nbody_parallel(cfg);
-        let mut app = AppSpec::new(
-            format!("nb-{i}"),
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            body,
-        );
-        app.critical = critical;
-        app.lock_policy = lock_policy;
-        builder = builder.app(app);
-    }
-    let mut sys = builder.build();
-    let report = sys.run();
-    if !report.all_done() {
-        return None;
-    }
-    let total: u128 = (0..copies)
-        .map(|i| report.elapsed(i).as_nanos() as u128)
-        .sum();
-    let metrics = || sys.apps().iter().map(|&app| sys.metrics(app));
-    Some(AblationRun {
-        mean: SimDuration::from_nanos((total / copies as u128) as u64),
-        acts_cached: metrics().map(|m| m.acts_cached.get()).sum(),
-        acts_fresh: metrics().map(|m| m.acts_fresh.get()).sum(),
     })
 }
 
@@ -850,28 +819,75 @@ fn ablation_ladder(policy: SpinPolicy) -> Result<SimDuration, String> {
 ///    are the only runs of `SpinForever` and `BlockImmediately` under
 ///    real preemption.
 fn ablations(o: &Options) -> CmdResult {
-    use CriticalSectionMode::{NoRecovery, ZeroOverhead};
     let proto = CostModel::firefly_prototype();
     let mut no_cache = proto.clone();
     no_cache.act_create_cached = no_cache.act_create_fresh;
-    let nbody = |cpus, critical, lock, cost: &CostModel, copies, frac| -> Job<'static, _> {
-        let cost = cost.clone();
-        Box::new(move || ablation_nbody(cpus, critical, lock, cost, copies, frac))
+    // Scheduler activations on `machine` processors at the system
+    // builder's default seed, on a short leash: the no-recovery
+    // configurations can livelock (that is the point of §3.3); report
+    // instead of hanging.
+    let sa = |machine, copies, frac| {
+        let mut cell = NBodyCell::new(
+            Some(ThreadApi::SchedulerActivations { max_processors: 6 }),
+            machine,
+        );
+        cell.copies = copies;
+        cell.nbody.memory_fraction = frac;
+        cell.seed = 0x5eed;
+        cell.run_limit = SimTime::from_millis(120_000);
+        cell
     };
     // Recovery on/off: two copies on five processors with spin locks.
     // Caching on/off and tuned upcalls: one I/O-heavy copy at 40% memory.
-    let (spin, competitive, tuned_cost) = (
-        SpinPolicy::SpinForever,
-        SpinPolicy::default(),
-        CostModel::tuned(),
-    );
-    let nbody_jobs = vec![
-        nbody(5, ZeroOverhead, spin, &proto, 2, 1.0),
-        nbody(5, NoRecovery, spin, &proto, 2, 1.0),
-        nbody(6, ZeroOverhead, competitive, &proto, 1, 0.4),
-        nbody(6, ZeroOverhead, competitive, &no_cache, 1, 0.4),
-        nbody(6, ZeroOverhead, competitive, &tuned_cost, 1, 0.4),
+    let spin = NBodyCell {
+        lock_policy: SpinPolicy::SpinForever,
+        ..sa(5, 2, 1.0)
+    };
+    let io = sa(6, 1, 0.4);
+    let leashed = [
+        spin.clone(),
+        NBodyCell {
+            critical: CriticalSectionMode::NoRecovery,
+            ..spin
+        },
+        io.clone(),
+        NBodyCell {
+            cost: no_cache,
+            ..io.clone()
+        },
+        NBodyCell {
+            cost: CostModel::tuned(),
+            ..io
+        },
     ];
+    let leashed_jobs = leashed
+        .iter()
+        .map(|cell| -> Job<'_, Option<NBodyRun>> { Box::new(move || cell.run()) })
+        .collect();
+    // Figure 2, then its scheduler-activation column again on the
+    // paper's projected tuned upcall path (§5.2).
+    let mut cells = fig2_cells(6, &FIG2_FRACTIONS, o.policies);
+    let tuned_at = cells.len();
+    let tuned_column: Vec<NBodyCell> = cells[2..]
+        .iter()
+        .step_by(3)
+        .map(|cell| NBodyCell {
+            cost: CostModel::tuned(),
+            ..cell.clone()
+        })
+        .collect();
+    cells.extend(tuned_column);
+    // Table 5, then new FastThreads uniprogrammed on three of its six
+    // processors.
+    let t5_at = cells.len();
+    cells.extend(table5_cells(6, o.policies));
+    cells.push(NBodyCell {
+        policies: o.policies,
+        ..NBodyCell::new(
+            Some(ThreadApi::SchedulerActivations { max_processors: 3 }),
+            6,
+        )
+    });
     let ladder_policies = [
         ("spin-then-block", SpinPolicy::default()),
         ("block-immediately", SpinPolicy::BlockImmediately),
@@ -881,13 +897,14 @@ fn ablations(o: &Options) -> CmdResult {
         .iter()
         .map(|&(_, policy)| -> Job<'static, _> { Box::new(move || ablation_ladder(policy)) })
         .collect();
-    let nbody = run_ordered(o.jobs, nbody_jobs)?;
+    let leashed_runs = run_ordered(o.jobs, leashed_jobs)?;
     let ladders = run_ordered(o.jobs, ladder_jobs)?;
-    let [with, without, cached, uncached, tuned] = &nbody[..] else {
-        unreachable!("five n-body jobs submitted");
+    let runs = run_cells(&cells, o.jobs)?;
+    let [with, without, cached, uncached, tuned] = &leashed_runs[..] else {
+        unreachable!("five ablation cells submitted");
     };
-    let fmt = |r: &Option<AblationRun>| match r {
-        Some(r) => format!("{}", r.mean),
+    let fmt = |r: &Option<NBodyRun>| match r {
+        Some(r) => format!("{}", r.elapsed),
         None => "DID NOT FINISH within 120 virtual seconds".into(),
     };
 
@@ -904,7 +921,7 @@ fn ablations(o: &Options) -> CmdResult {
     if let (Some(w), Some(wo)) = (with, without) {
         println!(
             "  slowdown without recovery: {:.2}x",
-            wo.mean.as_nanos() as f64 / w.mean.as_nanos() as f64
+            wo.elapsed.as_nanos() as f64 / w.elapsed.as_nanos() as f64
         );
     }
 
@@ -936,20 +953,19 @@ fn ablations(o: &Options) -> CmdResult {
     }
 
     // Figure 2 with the miss counts `fig2` leaves out, plus the
-    // scheduler-activation system on the paper's projected tuned upcall
-    // path (§5.2): the prototype's ~2.4 ms upcall machinery taxes every
-    // cache miss, and the tuned model removes it.
-    let cfg = NBodyConfig::default();
-    let fracs = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4];
-    let fig2 = fig2_sweep(&cfg, &proto, 6, &fracs, true, o.policies, 1, o.jobs)?;
+    // scheduler-activation system on the tuned upcall path: the
+    // prototype's ~2.4 ms upcall machinery taxes every cache miss, and
+    // the tuned model removes it.
     println!("\nFigure 2: N-Body execution time vs. % available memory (6 processors)");
     println!(
         "{:<7} {:>14} {:>14} {:>14} {:>14}   (seconds; misses in parens)",
         "memory", "Topaz threads", "orig FastThrds", "new FastThrds", "new FT(tuned)"
     );
-    for (frac, runs) in &fig2.rows {
-        let cells: Vec<String> = runs
+    let rows = runs[..tuned_at].chunks(3).zip(&runs[tuned_at..t5_at]);
+    for (frac, (row, tuned)) in FIG2_FRACTIONS.iter().zip(rows) {
+        let cells: Vec<String> = row
             .iter()
+            .chain([tuned])
             .map(|r| format!("{:.2} ({})", r.elapsed.as_secs_f64(), r.cache_misses))
             .collect();
         println!(
@@ -966,20 +982,20 @@ fn ablations(o: &Options) -> CmdResult {
     // The paper's Table 5 cross-check: the multiprogrammed speedup is
     // "within 5% of that obtained when the application ran
     // uniprogrammed on three processors".
-    let t5 = table5_runs(&cfg, &proto, 6, o.policies, 1, true, o.jobs)?;
-    let speedup = |elapsed: SimDuration| t5.seq.as_nanos() as f64 / elapsed.as_nanos() as f64;
-    let three = t5.uni3.expect("cross-check requested");
+    let [seq, _topaz, _orig, multi, three] = runs[t5_at..] else {
+        unreachable!("the Table 5 cells and the cross-check submitted");
+    };
     println!(
         "\nTable 5 cross-check (6 processors, 100% memory; sequential {})",
-        t5.seq
+        seq.elapsed
     );
     println!(
         "new FastThreads multiprogrammed (level 2): speedup {:.2}",
-        speedup(t5.multi[2].elapsed)
+        multi.speedup_over(&seq)
     );
     println!(
         "new FastThreads uniprogrammed on 3 of 6 processors: speedup {:.2}",
-        speedup(three.elapsed)
+        three.speedup_over(&seq)
     );
     println!("(the paper notes multiprogrammed speedup is within ~5% of this)");
     Ok(())
@@ -1341,8 +1357,8 @@ fn engine_bench(o: &Options) -> CmdResult {
     // at one worker vs. `jobs` workers — the scaling number this harness
     // tracks over time. Virtual-time results are identical at any job
     // count; only host wall-clock changes.
-    let serial = fig1_grid_throughput(&cfg, &cost, 1, NonZeroUsize::MIN)?;
-    let parallel = fig1_grid_throughput(&cfg, &cost, 1, jobs)?;
+    let serial = fig1_grid_throughput(NonZeroUsize::MIN)?;
+    let parallel = fig1_grid_throughput(jobs)?;
     lines.push(BenchLine::new(
         "sweep_fig1_grid",
         parallel.events_per_sec(),
@@ -1449,6 +1465,20 @@ mod tests {
             (
                 &["fig2", "--out=x"],
                 "'trace', 'profile', 'slo', and 'audit' subcommands",
+            ),
+            // A missing `--format` value names the preceding subcommand's
+            // formats, or the generic hint when there is none.
+            (
+                &["slo", "--format"],
+                "--format requires a value (table|csv|perfetto)",
+            ),
+            (
+                &["profile", "fig1", "--format"],
+                "--format requires a value (table|folded|json)",
+            ),
+            (
+                &["--format"],
+                "--format requires a value (perfetto|log|histograms)",
             ),
         ] {
             let err = parse(args)

@@ -28,7 +28,6 @@ pub mod profile;
 pub mod reporting;
 pub mod scenario;
 pub mod slo;
-pub mod sweeps;
 pub mod system;
 pub mod trace_export;
 

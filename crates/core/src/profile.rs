@@ -41,7 +41,7 @@
 use crate::critical_path::{critical_path, CriticalPath};
 use crate::reporting::{json_escape, Table};
 use crate::scenario::{PolicyConfig, TraceWorkload};
-use crate::{SystemBuilder, ThreadApi};
+use crate::{AppSpec, System, SystemBuilder, ThreadApi};
 use sa_harness::{run_ordered, Job, PanickedJob};
 use sa_kernel::DaemonSpec;
 use sa_machine::CostModel;
@@ -140,22 +140,30 @@ fn cells_for(scenario: &str) -> Option<Vec<CellSpec>> {
     Some(cells)
 }
 
-/// Runs one cell: traced simulation, ledger snapshot (conservation
-/// verified), critical-path walk.
-fn run_cell(spec: CellSpec, policies: PolicyConfig) -> ProfileCell {
-    let cost = CostModel::firefly_prototype();
-    let mut builder = SystemBuilder::new(spec.machine)
-        .cost(cost)
+/// Builds the system `trace` and `profile` run for one traced cell:
+/// `apps` (from [`crate::scenario::traced_apps`]) on a `machine`-processor
+/// machine with the paper's daemons, under `policies`, recording an
+/// unbounded trace. Not yet run.
+pub fn traced_system(machine: u16, policies: PolicyConfig, apps: Vec<AppSpec>) -> System {
+    let mut builder = SystemBuilder::new(machine)
+        .cost(CostModel::firefly_prototype())
         .seed(0x5eed)
         .alloc_policy(policies.alloc)
         .daemons(DaemonSpec::topaz_default_set())
         .run_limit(SimTime::from_millis(3_600_000))
         .trace(Trace::unbounded());
-    for mut app in crate::scenario::traced_apps_for(&spec.scenario, spec.workload, &spec.api) {
+    for mut app in apps {
         app.ready_policy = policies.ready;
         builder = builder.app(app);
     }
-    let mut sys = builder.build();
+    builder.build()
+}
+
+/// Runs one cell: traced simulation, ledger snapshot (conservation
+/// verified), critical-path walk.
+fn run_cell(spec: CellSpec, policies: PolicyConfig) -> ProfileCell {
+    let apps = crate::scenario::traced_apps(&spec.scenario, spec.workload, &spec.api);
+    let mut sys = traced_system(spec.machine, policies, apps);
     let report = sys.run();
     assert!(
         report.all_done(),
@@ -184,17 +192,12 @@ fn run_cell(spec: CellSpec, policies: PolicyConfig) -> ProfileCell {
     }
 }
 
-/// Runs every cell of `scenario` under the default policies (fanned
-/// across up to `jobs` host threads; output is independent of the job
-/// count) and returns the assembled profile.
-pub fn run_profile(scenario: &str, jobs: NonZeroUsize) -> Result<Profile, String> {
-    run_profile_with(scenario, PolicyConfig::default(), jobs)
-}
-
-/// As [`run_profile`], under an explicit [`PolicyConfig`] — the ledger
-/// conservation and critical-path attribution checks run on every cell
-/// regardless of the policy pair.
-pub fn run_profile_with(
+/// Runs every cell of `scenario` under `policies` (fanned across up to
+/// `jobs` host threads; output is independent of the job count) and
+/// returns the assembled profile. The ledger conservation and
+/// critical-path attribution checks run on every cell regardless of the
+/// policy pair.
+pub fn run_profile(
     scenario: &str,
     policies: PolicyConfig,
     jobs: NonZeroUsize,
@@ -400,7 +403,7 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_an_error() {
-        let err = run_profile("fig9", NonZeroUsize::MIN).unwrap_err();
+        let err = run_profile("fig9", PolicyConfig::default(), NonZeroUsize::MIN).unwrap_err();
         assert!(err.contains("fig9"), "{err}");
     }
 
@@ -412,7 +415,7 @@ mod tests {
 
     #[test]
     fn fig1_profile_conserves_and_attributes() {
-        let p = run_profile("fig1", NonZeroUsize::MIN).expect("fig1 runs");
+        let p = run_profile("fig1", PolicyConfig::default(), NonZeroUsize::MIN).expect("fig1 runs");
         assert_eq!(p.cells.len(), 3);
         for cell in &p.cells {
             // run_cell already verified the ledger; double-check the

@@ -11,20 +11,21 @@
 //! sa-experiments run --list
 //! ```
 //!
-//! The registry replaces the old per-figure plumbing: the sweep
-//! harnesses, the profiler, and the trace exporter all read the processor
-//! count from the scenario descriptor instead of hard-coding the
-//! six-processor Firefly, and the figure subcommands (`fig1`, `fig2`,
-//! `table5`) are now aliases for `run <scenario>` under the default
-//! policies — their stdout is byte-identical to what the pre-registry
-//! code printed (CI diffs it against committed golden files).
+//! Every N-body experiment is a list of [`NBodyCell`]s plus a renderer:
+//! [`fig1_cells`], [`fig2_cells`] and [`table5_cells`] own the grid
+//! shapes, and the `fig1`, `fig2`, `table5`, `nbody` and `bufcache`
+//! runners (and the binary's `ablations`) render the cells' results. The
+//! profiler and the trace exporter read the processor count from the
+//! scenario descriptor instead of hard-coding the six-processor Firefly,
+//! and the figure subcommands (`fig1`, `fig2`, `table5`) are aliases for
+//! `run <scenario>` under the default policies; CI diffs their stdout
+//! against committed golden files.
 //!
 //! Rendering happens after every cell has been collected (the
 //! [`sa_harness::run_ordered`] contract), so a scenario's output is
 //! byte-identical at any `--jobs` count for any policy pair.
 
-use crate::experiments::{nbody_run_with, nbody_sequential_time};
-use crate::sweeps::{fig1_grid, fig2_sweep, table5_runs};
+use crate::experiments::{run_cells, NBodyCell};
 use crate::{AppSpec, SystemBuilder, ThreadApi};
 use sa_harness::{run_ordered, Job, PanickedJob};
 use sa_kernel::{AllocPolicyKind, DaemonSpec};
@@ -89,6 +90,63 @@ pub fn systems(cpus: u32) -> [(&'static str, ThreadApi); 3] {
     ]
 }
 
+/// Figure 2's available-memory fractions, in row order.
+pub const FIG2_FRACTIONS: [f64; 7] = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4];
+
+/// Figure 1's cells: the sequential baseline first, then one row of the
+/// three [`systems`] per processor count `1..=machine`. Topaz
+/// kernel-thread parallelism cannot be capped from user level, so its
+/// cells size the machine to the row; the user-level systems run on the
+/// whole `machine`.
+pub fn fig1_cells(machine: u16, policies: PolicyConfig) -> Vec<NBodyCell> {
+    let mut cells = vec![NBodyCell::new(None, 1)];
+    for cpus in 1..=machine {
+        for (name, api) in systems(u32::from(cpus)) {
+            let size = if name == "Topaz threads" {
+                cpus
+            } else {
+                machine
+            };
+            cells.push(NBodyCell {
+                policies,
+                ..NBodyCell::new(Some(api), size)
+            });
+        }
+    }
+    cells
+}
+
+/// Figure 2's cells: one row of the three [`systems`] on `machine`
+/// processors per available-memory fraction in `fracs`
+/// ([`FIG2_FRACTIONS`] for the figure itself).
+pub fn fig2_cells(machine: u16, fracs: &[f64], policies: PolicyConfig) -> Vec<NBodyCell> {
+    let mut cells = Vec::new();
+    for &frac in fracs {
+        for (_name, api) in systems(u32::from(machine)) {
+            let mut cell = NBodyCell::new(Some(api), machine);
+            cell.nbody.memory_fraction = frac;
+            cell.policies = policies;
+            cells.push(cell);
+        }
+    }
+    cells
+}
+
+/// Table 5's cells: the sequential baseline first, then two copies of
+/// the application under each of the three [`systems`] on `machine`
+/// processors (multiprogramming level 2).
+pub fn table5_cells(machine: u16, policies: PolicyConfig) -> Vec<NBodyCell> {
+    let mut cells = vec![NBodyCell::new(None, 1)];
+    for (_name, api) in systems(u32::from(machine)) {
+        cells.push(NBodyCell {
+            copies: 2,
+            policies,
+            ..NBodyCell::new(Some(api), machine)
+        });
+    }
+    cells
+}
+
 type Runner = fn(&Scenario, PolicyConfig, NonZeroUsize) -> Result<String, PanickedJob>;
 
 /// The scaled-down workload shape the `trace` and `profile` subcommands
@@ -123,7 +181,7 @@ pub struct Scenario {
     /// One-line description (`run --list`).
     pub about: &'static str,
     /// Physical processors in the scenario's machine — the single source
-    /// the sweeps, profiler, and trace exporter read instead of
+    /// the figure runners, profiler, and trace exporter read instead of
     /// hard-coding the Firefly's six.
     pub cpus: u16,
     /// The scaled-down shape `trace`/`profile` run (see [`traced_apps`]).
@@ -240,18 +298,14 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 }
 
 /// Builds the scaled-down application set the `trace` and `profile`
-/// subcommands run for `sc` under one thread system: every application
-/// body, named, in shard order. Bodies hold `Rc` state, so call this
-/// inside the job that will run the system, never across threads.
-pub fn traced_apps(sc: &Scenario, api: &ThreadApi) -> Vec<AppSpec> {
-    traced_apps_for(sc.name, sc.traced, api)
-}
-
-/// As [`traced_apps`], from the registry key and workload shape directly
-/// (the profiler's diagnostic cells vary the shape away from the
-/// registry entry). `name` resolves [`TraceWorkload::OpenLoop`] against
-/// the SLO profile registry and is otherwise unused.
-pub fn traced_apps_for(name: &str, traced: TraceWorkload, api: &ThreadApi) -> Vec<AppSpec> {
+/// subcommands run for the workload shape `traced` under one thread
+/// system: every application body, named, in shard order. `name` is the
+/// registry key; it resolves [`TraceWorkload::OpenLoop`] against the SLO
+/// profile registry and is otherwise unused (the profiler's diagnostic
+/// cells vary the shape away from the registry entry's). Bodies hold
+/// `Rc` state, so call this inside the job that will run the system,
+/// never across threads.
+pub fn traced_apps(name: &str, traced: TraceWorkload, api: &ThreadApi) -> Vec<AppSpec> {
     match traced {
         TraceWorkload::NBody {
             copies,
@@ -312,26 +366,26 @@ fn run_fig1(
     policies: PolicyConfig,
     jobs: NonZeroUsize,
 ) -> Result<String, PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    let grid = fig1_grid(&cfg, &cost, sc.cpus, 1..=sc.cpus, policies, 1, jobs)?;
+    let runs = run_cells(&fig1_cells(sc.cpus, policies), jobs)?;
+    let (seq, rows) = runs.split_first().expect("the baseline comes first");
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Figure 1: speedup vs processors (100% memory; sequential {})",
-        grid.seq
+        seq.elapsed
     );
     let _ = writeln!(
         out,
         "{:<6} {:>14} {:>15} {:>14}",
         "procs", "Topaz threads", "orig FastThrds", "new FastThrds"
     );
-    for (i, (cpus, _)) in grid.rows.iter().enumerate() {
-        let row = grid.speedups(i);
+    for (cpus, row) in (1..).zip(rows.chunks(3)) {
         let _ = writeln!(
             out,
             "{cpus:<6} {:>14.2} {:>15.2} {:>14.2}",
-            row[0], row[1], row[2]
+            row[0].speedup_over(seq),
+            row[1].speedup_over(seq),
+            row[2].speedup_over(seq)
         );
     }
     Ok(out)
@@ -342,10 +396,7 @@ fn run_fig2(
     policies: PolicyConfig,
     jobs: NonZeroUsize,
 ) -> Result<String, PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    let fracs = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4];
-    let sweep = fig2_sweep(&cfg, &cost, sc.cpus, &fracs, false, policies, 1, jobs)?;
+    let runs = run_cells(&fig2_cells(sc.cpus, &FIG2_FRACTIONS, policies), jobs)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -357,14 +408,14 @@ fn run_fig2(
         "{:<7} {:>14} {:>15} {:>14}",
         "memory", "Topaz threads", "orig FastThrds", "new FastThrds"
     );
-    for (frac, cells) in &sweep.rows {
+    for (frac, row) in FIG2_FRACTIONS.iter().zip(runs.chunks(3)) {
         let _ = writeln!(
             out,
             "{:>5.0}%  {:>14.2} {:>15.2} {:>14.2}",
             frac * 100.0,
-            cells[0].elapsed.as_secs_f64(),
-            cells[1].elapsed.as_secs_f64(),
-            cells[2].elapsed.as_secs_f64()
+            row[0].elapsed.as_secs_f64(),
+            row[1].elapsed.as_secs_f64(),
+            row[2].elapsed.as_secs_f64()
         );
     }
     Ok(out)
@@ -375,9 +426,8 @@ fn run_table5(
     policies: PolicyConfig,
     jobs: NonZeroUsize,
 ) -> Result<String, PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    let t5 = table5_runs(&cfg, &cost, sc.cpus, policies, 1, false, jobs)?;
+    let runs = run_cells(&table5_cells(sc.cpus, policies), jobs)?;
+    let (seq, multi) = runs.split_first().expect("the baseline comes first");
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -385,55 +435,50 @@ fn run_table5(
         sc.cpus
     );
     let paper = [1.29, 1.26, 2.45];
-    let names = ["Topaz threads", "orig FastThrds", "new FastThrds"];
-    for (i, r) in t5.multi.iter().enumerate() {
-        let s = t5.seq.as_nanos() as f64 / r.elapsed.as_nanos() as f64;
-        let _ = writeln!(out, "  {:<18} {s:.2}  (paper {:.2})", names[i], paper[i]);
+    for (((name, _), r), paper) in systems(u32::from(sc.cpus))
+        .into_iter()
+        .zip(multi)
+        .zip(paper)
+    {
+        let _ = writeln!(
+            out,
+            "  {name:<18} {:.2}  (paper {paper:.2})",
+            r.speedup_over(seq)
+        );
     }
     Ok(out)
 }
 
+/// The baseline and Figure 1's full-machine row, with elapsed times and
+/// miss counts.
 fn run_nbody(
     sc: &Scenario,
     policies: PolicyConfig,
     jobs: NonZeroUsize,
 ) -> Result<String, PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
     let machine = sc.cpus;
-    let mut tasks: Vec<Job<'_, crate::experiments::NBodyRun>> = Vec::new();
-    {
-        let (cfg, cost) = (cfg.clone(), cost.clone());
-        tasks.push(Box::new(move || crate::experiments::NBodyRun {
-            elapsed: nbody_sequential_time(cfg, cost, 1),
-            cache_misses: 0,
-        }));
-    }
-    for (_name, api) in systems(machine as u32) {
-        let (cfg, cost) = (cfg.clone(), cost.clone());
-        tasks.push(Box::new(move || {
-            nbody_run_with(policies, api, machine, cfg, cost, 1, 1)
-        }));
-    }
-    let mut results = run_ordered(jobs, tasks)?.into_iter();
-    let seq = results.next().expect("baseline job present").elapsed;
+    let mut cells = fig1_cells(machine, policies);
+    cells.drain(1..cells.len() - 3);
+    let runs = run_cells(&cells, jobs)?;
+    let (seq, row) = runs.split_first().expect("the baseline comes first");
+    let cfg = &cells[0].nbody;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "N-body: {} bodies, {} steps, {} CPUs (sequential {seq})",
-        cfg.bodies, cfg.steps, machine
+        "N-body: {} bodies, {} steps, {} CPUs (sequential {})",
+        cfg.bodies, cfg.steps, machine, seq.elapsed
     );
     let _ = writeln!(
         out,
         "{:<16} {:>10} {:>9} {:>13}",
         "system", "elapsed", "speedup", "cache misses"
     );
-    for ((name, _), r) in systems(machine as u32).into_iter().zip(results) {
-        let speedup = seq.as_nanos() as f64 / r.elapsed.as_nanos() as f64;
+    for ((name, _), r) in systems(u32::from(machine)).into_iter().zip(row) {
         let _ = writeln!(
             out,
-            "{name:<16} {:>10} {speedup:>9.2} {:>13}",
+            "{name:<16} {:>10} {:>9.2} {:>13}",
             format!("{}", r.elapsed),
+            r.speedup_over(seq),
             r.cache_misses
         );
     }
@@ -502,29 +547,15 @@ fn run_server(
     Ok(out)
 }
 
+/// Figure 2's cells at three memory fractions, reporting miss counts.
 fn run_bufcache(
     sc: &Scenario,
     policies: PolicyConfig,
     jobs: NonZeroUsize,
 ) -> Result<String, PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let base = NBodyConfig::default();
     let machine = sc.cpus;
     let fracs = [1.0, 0.75, 0.5];
-    let mut tasks: Vec<Job<'_, crate::experiments::NBodyRun>> = Vec::new();
-    for &frac in &fracs {
-        for (_name, api) in systems(machine as u32) {
-            let cfg = NBodyConfig {
-                memory_fraction: frac,
-                ..base.clone()
-            };
-            let cost = cost.clone();
-            tasks.push(Box::new(move || {
-                nbody_run_with(policies, api, machine, cfg, cost, 1, 1)
-            }));
-        }
-    }
-    let mut results = run_ordered(jobs, tasks)?.into_iter();
+    let runs = run_cells(&fig2_cells(machine, &fracs, policies), jobs)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -536,8 +567,7 @@ fn run_bufcache(
         "{:<7} {:>14} {:>15} {:>14}",
         "memory", "Topaz threads", "orig FastThrds", "new FastThrds"
     );
-    for &frac in &fracs {
-        let row: Vec<_> = results.by_ref().take(3).collect();
+    for (frac, row) in fracs.iter().zip(runs.chunks(3)) {
         let _ = writeln!(
             out,
             "{:>5.0}%  {:>14} {:>15} {:>14}",
@@ -605,7 +635,8 @@ mod tests {
     fn every_scenario_builds_traced_apps() {
         for sc in SCENARIOS {
             let apps = traced_apps(
-                sc,
+                sc.name,
+                sc.traced,
                 &ThreadApi::SchedulerActivations {
                     max_processors: sc.cpus as u32,
                 },

@@ -5,7 +5,6 @@ use sa_kernel::{
     AllocPolicyKind, DaemonSpec, Kernel, KernelConfig, KernelFlavor, RunOutcome, SchedMode,
     SpaceKindSpec, SpaceMetrics, SpaceSpec,
 };
-use sa_machine::disk::DiskConfig;
 use sa_machine::program::ThreadBody;
 use sa_machine::CostModel;
 use sa_sim::{SimDuration, SimTime, Trace};
@@ -86,7 +85,6 @@ pub struct SystemBuilder {
     sched: Option<SchedMode>,
     alloc_policy: AllocPolicyKind,
     daemons: Vec<DaemonSpec>,
-    disk: DiskConfig,
     seed: u64,
     run_limit: SimTime,
     trace: Option<Trace>,
@@ -106,7 +104,6 @@ impl SystemBuilder {
             sched: None,
             alloc_policy: AllocPolicyKind::default(),
             daemons: Vec::new(),
-            disk: DiskConfig::default(),
             seed: 0x5eed,
             run_limit: SimTime::from_millis(600_000),
             trace: None,
@@ -141,12 +138,6 @@ impl SystemBuilder {
     /// Enables kernel daemon threads (§5.3).
     pub fn daemons(mut self, daemons: Vec<DaemonSpec>) -> Self {
         self.daemons = daemons;
-        self
-    }
-
-    /// Replaces the disk configuration.
-    pub fn disk(mut self, disk: DiskConfig) -> Self {
-        self.disk = disk;
         self
     }
 
@@ -222,7 +213,6 @@ impl SystemBuilder {
             sched,
             alloc_policy: self.alloc_policy,
             daemons: self.daemons,
-            disk: self.disk,
             seed: self.seed,
             run_limit: self.run_limit,
         };

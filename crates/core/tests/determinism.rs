@@ -5,7 +5,7 @@
 //! so no internal reorganisation may change observable order. Observing
 //! a run must not change it either: the optional sinks are pure readers.
 
-use sa_core::experiments::nbody_run;
+use sa_core::experiments::NBodyCell;
 use sa_core::slo;
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_kernel::{DaemonSpec, Kernel, KernelConfig, SpaceKindSpec, SpaceSpec};
@@ -111,21 +111,20 @@ fn same_seed_compute_run_is_identical_across_apis() {
 fn nbody_run_reproducible_via_public_harness() {
     // The experiments-facade path (no tracing): same inputs, same virtual
     // time, byte for byte.
-    let cfg = NBodyConfig {
-        bodies: 30,
-        steps: 1,
-        ..NBodyConfig::default()
+    let cell = NBodyCell {
+        nbody: NBodyConfig {
+            bodies: 30,
+            steps: 1,
+            ..NBodyConfig::default()
+        },
+        seed: 9,
+        ..NBodyCell::new(
+            Some(ThreadApi::SchedulerActivations { max_processors: 4 }),
+            4,
+        )
     };
-    let api = ThreadApi::SchedulerActivations { max_processors: 4 };
-    let a = nbody_run(
-        api.clone(),
-        4,
-        cfg.clone(),
-        CostModel::firefly_prototype(),
-        1,
-        9,
-    );
-    let b = nbody_run(api, 4, cfg, CostModel::firefly_prototype(), 1, 9);
+    let a = cell.run().expect("the cell finishes");
+    let b = cell.run().expect("the cell finishes");
     assert_eq!(a.elapsed, b.elapsed);
     assert_eq!(a.cache_misses, b.cache_misses);
 }

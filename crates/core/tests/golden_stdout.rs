@@ -5,7 +5,8 @@
 //! 1. The scenario runner under the implicit defaults reproduces the
 //!    committed `tests/golden/*.stdout` files byte for byte (the same
 //!    diff CI performs in release mode), and so do the paper tables
-//!    without a scenario (`table1`, `table4`, `upcall`).
+//!    without a scenario (`table1`, `table4`, `upcall`), the `table5`
+//!    profile and the `table5` trace histograms.
 //! 2. Passing the default pair *explicitly* (`--alloc=even
 //!    --ready=local`) is byte-identical to passing nothing at all, for
 //!    `run`, `trace`, and `profile` alike — the flags select policies,
@@ -53,6 +54,14 @@ fn run_defaults_reproduce_committed_goldens() {
         (&["run", "fig1"][..], "fig1.stdout"),
         (&["run", "fig2"], "fig2.stdout"),
         (&["run", "table5"], "table5.stdout"),
+        (&["run", "nbody"], "run-nbody.stdout"),
+        (&["run", "server"], "run-server.stdout"),
+        (&["run", "bufcache"], "run-bufcache.stdout"),
+        (&["profile", "table5"], "profile-table5.stdout"),
+        (
+            &["trace", "table5", "--format", "histograms"],
+            "trace-table5-histograms.stdout",
+        ),
         (&["table1"], "table1.stdout"),
         (&["table4"], "table4.stdout"),
         (&["upcall"], "upcall.stdout"),

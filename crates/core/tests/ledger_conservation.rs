@@ -12,9 +12,7 @@
 //! Host parallelism must not perturb any of it: rendering the same
 //! profile at one and at four worker threads must be byte-identical.
 
-use sa_core::profile::{
-    render_folded, render_json, render_table, run_profile, run_profile_with, Profile,
-};
+use sa_core::profile::{render_folded, render_json, render_table, run_profile, Profile};
 use sa_core::scenario::PolicyConfig;
 use sa_sim::CpuState;
 use std::num::NonZeroUsize;
@@ -68,7 +66,7 @@ fn check_conservation(p: &Profile) {
 
 #[test]
 fn fig1_cells_conserve_time_exactly() {
-    let p = run_profile("fig1", NonZeroUsize::MIN).expect("fig1 profile");
+    let p = run_profile("fig1", PolicyConfig::default(), NonZeroUsize::MIN).expect("fig1 profile");
     assert_eq!(p.cells.len(), 3, "three thread systems");
     check_conservation(&p);
 }
@@ -80,11 +78,11 @@ fn fig1_cells_conserve_time_exactly() {
 #[test]
 fn fig1_conserves_time_under_every_policy_pair() {
     for policies in PolicyConfig::all() {
-        let serial = run_profile_with("fig1", policies, NonZeroUsize::MIN)
+        let serial = run_profile("fig1", policies, NonZeroUsize::MIN)
             .unwrap_or_else(|e| panic!("fig1 profile under {policies}: {e}"));
         assert_eq!(serial.cells.len(), 3, "{policies}: three thread systems");
         check_conservation(&serial);
-        let parallel = run_profile_with("fig1", policies, NonZeroUsize::new(4).unwrap())
+        let parallel = run_profile("fig1", policies, NonZeroUsize::new(4).unwrap())
             .unwrap_or_else(|e| panic!("fig1 profile under {policies}: {e}"));
         assert_eq!(
             render_table(&serial),
@@ -101,7 +99,8 @@ fn fig1_conserves_time_under_every_policy_pair() {
 
 #[test]
 fn table5_cells_conserve_time_exactly() {
-    let p = run_profile("table5", NonZeroUsize::MIN).expect("table5 profile");
+    let p =
+        run_profile("table5", PolicyConfig::default(), NonZeroUsize::MIN).expect("table5 profile");
     // Three multiprogrammed systems + four I/O-bound single-CPU models.
     assert_eq!(p.cells.len(), 7);
     check_conservation(&p);
@@ -138,8 +137,10 @@ fn table5_cells_conserve_time_exactly() {
 #[test]
 fn profiles_are_identical_at_any_job_count() {
     for scenario in ["fig1", "table5"] {
-        let serial = run_profile(scenario, NonZeroUsize::MIN).expect(scenario);
-        let parallel = run_profile(scenario, NonZeroUsize::new(4).unwrap()).expect(scenario);
+        let policies = PolicyConfig::default();
+        let serial = run_profile(scenario, policies, NonZeroUsize::MIN).expect(scenario);
+        let parallel =
+            run_profile(scenario, policies, NonZeroUsize::new(4).unwrap()).expect(scenario);
         assert_eq!(
             render_table(&serial),
             render_table(&parallel),

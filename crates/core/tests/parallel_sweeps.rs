@@ -4,9 +4,8 @@
 //! cell is a self-contained single-threaded simulation and the harness
 //! collects results by job index.
 
-use sa_core::experiments::NBodyRun;
-use sa_core::scenario::PolicyConfig;
-use sa_core::sweeps::{fig1_grid, fig2_sweep, table5_runs};
+use sa_core::experiments::{run_cells, NBodyCell, NBodyRun};
+use sa_core::scenario::{fig1_cells, fig2_cells, table5_cells, PolicyConfig};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_harness::{run_ordered, Job};
 use sa_machine::CostModel;
@@ -18,13 +17,22 @@ fn jobs(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
 }
 
-/// A small Figure 1-shaped configuration that keeps the grids cheap.
-fn small_cfg() -> NBodyConfig {
-    NBodyConfig {
-        bodies: 60,
-        steps: 1,
-        ..NBodyConfig::default()
+/// Shrinks every cell's workload to keep the grids cheap (each cell's
+/// memory fraction stays).
+fn small(mut cells: Vec<NBodyCell>) -> Vec<NBodyCell> {
+    for cell in &mut cells {
+        cell.nbody.bodies = 60;
+        cell.nbody.steps = 1;
     }
+    cells
+}
+
+/// Runs `cells` at one and at four worker threads and checks every cell
+/// has the same result both times.
+fn assert_job_count_invisible(cells: &[NBodyCell], what: &str) {
+    let serial = run_cells(cells, jobs(1)).unwrap();
+    let parallel = run_cells(cells, jobs(4)).unwrap();
+    assert_eq!(serial, parallel, "{what} differs between job counts");
 }
 
 /// Everything a sweep job closes over must be `Send` — the audit the
@@ -39,7 +47,7 @@ fn sweep_inputs_and_outputs_are_send() {
     assert_send::<CostModel>();
     assert_send::<NBodyConfig>();
     assert_send::<sa_kernel::DaemonSpec>();
-    assert_send::<sa_machine::disk::DiskConfig>();
+    assert_send::<NBodyCell>();
     assert_send::<sa_uthread::FtConfig>();
     assert_send::<sa_uthread::CriticalSectionMode>();
     assert_send::<sa_uthread::SpinPolicy>();
@@ -60,54 +68,27 @@ fn sweep_inputs_and_outputs_are_send() {
 
 #[test]
 fn fig1_grid_parallel_equals_serial_per_cell() {
-    let cfg = small_cfg();
-    let cost = CostModel::firefly_prototype();
-    let serial = fig1_grid(&cfg, &cost, 4, 1..=2, PolicyConfig::default(), 1, jobs(1)).unwrap();
-    let parallel = fig1_grid(&cfg, &cost, 4, 1..=2, PolicyConfig::default(), 1, jobs(4)).unwrap();
-    assert_eq!(serial.seq, parallel.seq);
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (i, (s, p)) in serial.rows.iter().zip(&parallel.rows).enumerate() {
-        assert_eq!(s, p, "Figure 1 grid row {i} differs between job counts");
-    }
+    // The baseline and the one- and two-processor rows of a four-CPU grid.
+    let mut cells = small(fig1_cells(4, PolicyConfig::default()));
+    cells.truncate(7);
+    assert_job_count_invisible(&cells, "Figure 1 grid");
 }
 
 #[test]
 fn fig2_sweep_parallel_equals_serial_per_cell() {
-    let cfg = small_cfg();
-    let cost = CostModel::firefly_prototype();
-    let fracs = [1.0, 0.5];
-    let serial = fig2_sweep(
-        &cfg,
-        &cost,
-        4,
-        &fracs,
-        false,
-        PolicyConfig::default(),
-        1,
-        jobs(1),
-    )
-    .unwrap();
-    let parallel = fig2_sweep(
-        &cfg,
-        &cost,
-        4,
-        &fracs,
-        false,
-        PolicyConfig::default(),
-        1,
-        jobs(4),
-    )
-    .unwrap();
-    assert_eq!(serial, parallel);
+    let cells = small(fig2_cells(4, &[1.0, 0.5], PolicyConfig::default()));
+    assert_job_count_invisible(&cells, "Figure 2 sweep");
 }
 
 #[test]
 fn table5_runs_parallel_equals_serial_per_cell() {
-    let cfg = small_cfg();
-    let cost = CostModel::firefly_prototype();
-    let serial = table5_runs(&cfg, &cost, 6, PolicyConfig::default(), 1, true, jobs(1)).unwrap();
-    let parallel = table5_runs(&cfg, &cost, 6, PolicyConfig::default(), 1, true, jobs(4)).unwrap();
-    assert_eq!(serial, parallel);
+    // With the uniprogrammed three-of-six cross-check appended.
+    let mut cells = table5_cells(6, PolicyConfig::default());
+    cells.push(NBodyCell::new(
+        Some(ThreadApi::SchedulerActivations { max_processors: 3 }),
+        6,
+    ));
+    assert_job_count_invisible(&small(cells), "Table 5");
 }
 
 /// One traced cell: a small N-body run under scheduler activations whose

@@ -89,7 +89,8 @@ fn every_profile_reconciles_spans_against_both_ledgers() {
 /// neither N-body-shaped nor figure-numbered.
 #[test]
 fn profiler_accepts_server_scenario() {
-    let p = run_profile("server", jobs(2)).expect("server profiles cleanly");
+    let p =
+        run_profile("server", PolicyConfig::default(), jobs(2)).expect("server profiles cleanly");
     assert_eq!(p.cells.len(), 3, "three systems");
     for cell in &p.cells {
         assert!(

@@ -653,11 +653,9 @@ fn server_latency_tail_separates_the_systems() {
 }
 
 #[test]
-fn queued_disk_serializes_concurrent_requests() {
-    // The paper used a fixed 50 ms block and notes results were
-    // "qualitatively similar when we took contention for the disk into
-    // account"; the queued model makes that contention real.
-    use sa_machine::disk::{DiskConfig, DiskModel};
+fn concurrent_io_requests_overlap() {
+    // The paper's disk is a fixed block per request with no contention
+    // (§5.3): each request completes its latency after it is issued.
     let body = |n: usize| {
         let mut st = 0usize;
         let mut children: Vec<ThreadRef> = Vec::new();
@@ -675,30 +673,21 @@ fn queued_disk_serializes_concurrent_requests() {
             }
         })
     };
-    let run = |model: DiskModel| {
-        let mut sys = SystemBuilder::new(2)
-            .disk(DiskConfig {
-                latency: ms(10),
-                model,
-            })
-            .app(AppSpec::new(
-                "io",
-                ThreadApi::SchedulerActivations { max_processors: 2 },
-                Box::new(body(4)),
-            ))
-            .build();
-        let report = sys.run();
-        assert!(report.all_done(), "{:?}", report.outcome);
-        report.elapsed(0)
-    };
-    let parallel = run(DiskModel::FixedLatency);
-    let queued = run(DiskModel::Queued);
+    let mut sys = SystemBuilder::new(2)
+        .app(AppSpec::new(
+            "io",
+            ThreadApi::SchedulerActivations { max_processors: 2 },
+            Box::new(body(4)),
+        ))
+        .build();
+    let report = sys.run();
+    assert!(report.all_done(), "{:?}", report.outcome);
+    let parallel = report.elapsed(0);
     // Four 10 ms requests: overlapped ≈ 10-15 ms, serialized ≥ 40 ms.
     assert!(
         parallel < ms(25),
         "fixed-latency did not overlap: {parallel}"
     );
-    assert!(queued >= ms(40), "queued disk did not serialize: {queued}");
 }
 
 #[test]

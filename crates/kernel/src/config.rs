@@ -2,7 +2,6 @@
 
 use crate::policy::AllocPolicyKind;
 use crate::upcall::UserRuntime;
-use sa_machine::disk::DiskConfig;
 use sa_machine::program::ThreadBody;
 use sa_sim::{SimDuration, SimTime};
 
@@ -66,8 +65,6 @@ pub struct KernelConfig {
     pub alloc_policy: AllocPolicyKind,
     /// Kernel daemon threads.
     pub daemons: Vec<DaemonSpec>,
-    /// Disk device configuration.
-    pub disk: DiskConfig,
     /// RNG seed; identical seeds reproduce runs exactly.
     pub seed: u64,
     /// Hard stop: the run aborts (reporting `timed_out`) if virtual time
@@ -82,7 +79,6 @@ impl Default for KernelConfig {
             sched: SchedMode::SaAllocator,
             alloc_policy: AllocPolicyKind::default(),
             daemons: Vec::new(),
-            disk: DiskConfig::default(),
             seed: 0x005e_ed5a,
             run_limit: SimTime::from_millis(600_000), // 10 virtual minutes
         }

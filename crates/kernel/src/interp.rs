@@ -10,6 +10,7 @@
 use crate::config::KernelFlavor;
 use crate::exec::{Effect, KtFlavor, Micro, ResumeWith, Running, Seg, UnitRef};
 use crate::ids::KtId;
+use crate::io::PAGE_READ;
 use crate::kernel::Kernel;
 use crate::kthread::{BlockKind, KtState};
 use crate::space::SpaceKind;
@@ -235,11 +236,10 @@ impl Kernel {
             Effect::MemCheck(page) => self.eff_mem_check(kt, page),
             Effect::StartPageIo(page) => {
                 let space = self.kts.hot[kt.index()].space;
-                let latency = self.disk.default_latency();
                 self.start_disk_op(
                     UnitRef::Kt(kt),
                     space,
-                    latency,
+                    PAGE_READ,
                     crate::upcall::SyscallOutcome::IoDone,
                     Some(page),
                 );

@@ -11,7 +11,7 @@ use crate::observe::Observer;
 use crate::policy::{AllocPolicy, AllocPolicySelect};
 use crate::sched::ReadyQueue;
 use crate::space::{Residency, SaState, Space, SpaceKind};
-use sa_machine::{CostModel, Disk};
+use sa_machine::CostModel;
 use sa_sim::{CpuState, EventQueue, EventToken, PopNext, SimRng, SimTime, Trace, TraceEvent};
 
 /// Priority of kernel daemon threads: above every application space.
@@ -114,7 +114,6 @@ pub struct Kernel {
     pub(crate) spaces: Vec<Space>,
     pub(crate) kts: KtTable,
     pub(crate) acts: Vec<crate::activation::Activation>,
-    pub(crate) disk: Disk,
     pub(crate) diskops: Vec<Option<DiskOp>>,
     pub(crate) daemons: Vec<DaemonState>,
     /// Global ready queue (native mode).
@@ -181,7 +180,6 @@ impl Kernel {
             })
             .collect();
         let n_cpus = cfg.cpus as usize;
-        let disk = Disk::new(cfg.disk);
         let rng = SimRng::new(cfg.seed);
         let alloc_policy = cfg.alloc_policy.build_select();
         let segs = crate::exec::SegCache::new(&cost);
@@ -197,7 +195,6 @@ impl Kernel {
             spaces: Vec::new(),
             kts: KtTable::default(),
             acts: Vec::new(),
-            disk,
             diskops: Vec::new(),
             daemons: Vec::new(),
             global_rq: ReadyQueue::new(),

@@ -4,6 +4,7 @@
 use crate::activation::ActState;
 use crate::exec::{Effect, Micro, ResumeWith, Running, Seg, UnitRef};
 use crate::ids::{ActId, AsId, VpId};
+use crate::io::PAGE_READ;
 use crate::kernel::{Event, Kernel};
 use crate::provenance::VictimReason;
 use crate::upcall::{RtEnv, SavedContext, Syscall, SyscallOutcome, UpcallEvent, WorkKind};
@@ -130,11 +131,10 @@ impl Kernel {
                     act: a.0,
                     call: "page_fault",
                 });
-                let latency = self.disk.default_latency();
                 self.start_disk_op(
                     UnitRef::Act(a),
                     space,
-                    latency,
+                    PAGE_READ,
                     SyscallOutcome::IoDone,
                     Some(page),
                 );

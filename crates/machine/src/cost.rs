@@ -47,8 +47,6 @@ pub struct CostModel {
     /// Syscall parameter copy-in and validation ("copy and check
     /// parameters in order to protect itself", §2.1).
     pub syscall_copy_check: SimDuration,
-    /// Taking a hardware interrupt (vector + save).
-    pub interrupt_entry: SimDuration,
     /// Kernel-level context switch (save/restore + run-queue manipulation).
     pub kt_ctx_switch: SimDuration,
     /// User-level context switch (register swap on the same address space).
@@ -137,10 +135,6 @@ pub struct CostModel {
     /// (`AddMoreProcessors` / `ThisProcessorIsIdle`).
     pub sa_hint_call: SimDuration,
 
-    // ---- Processor allocator ----
-    /// One allocation-policy evaluation (space-sharing recomputation).
-    pub alloc_decision: SimDuration,
-
     // ---- Virtual memory ----
     /// Kernel page-fault service before the disk read is issued.
     pub page_fault_service: SimDuration,
@@ -163,7 +157,6 @@ impl CostModel {
             kernel_trap: us(19),
             kernel_return: us(5),
             syscall_copy_check: us(10),
-            interrupt_entry: us(15),
             kt_ctx_switch: us(25),
             ut_ctx_switch: us(8),
             test_and_set: ns(500),
@@ -204,8 +197,6 @@ impl CostModel {
             act_recycle_call: us(35),
             sa_hint_call: us(40),
 
-            alloc_decision: us(25),
-
             page_fault_service: us(40),
 
             quantum: SimDuration::from_millis(100),
@@ -223,14 +214,6 @@ impl CostModel {
             act_stop_and_save: us(25),
             ..Self::firefly_prototype()
         }
-    }
-
-    /// A uniform fast model for property tests and fuzzing, where absolute
-    /// magnitudes are irrelevant but relative ordering of costs is kept.
-    pub fn uniform_test() -> Self {
-        let mut m = Self::firefly_prototype();
-        m.quantum = SimDuration::from_millis(5);
-        m
     }
 }
 

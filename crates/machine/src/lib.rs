@@ -9,19 +9,16 @@
 //!   them);
 //! - [`program`] — the deterministic thread-program abstraction that all
 //!   four thread systems execute;
-//! - [`disk::Disk`] — the I/O device (fixed 50 ms latency by default, per
-//!   the paper's §5.3 simplification);
 //! - [`ids`] — shared newtype identifiers.
 //!
-//! The machine has no scheduling policy of its own; CPUs are dispatched by
-//! `sa-kernel`.
+//! The machine has no scheduling policy and no device model of its own:
+//! CPUs are dispatched by `sa-kernel`, and a disk operation is a fixed
+//! in-kernel block there (the paper's §5.3 simplification).
 
 pub mod cost;
-pub mod disk;
 pub mod ids;
 pub mod program;
 
 pub use cost::CostModel;
-pub use disk::{Disk, DiskConfig, DiskModel};
 pub use ids::{BlockId, ChanId, CpuId, CvId, LockId, PageId, ThreadRef};
 pub use program::{ComputeBody, FnBody, Op, OpResult, ScriptBody, StepEnv, ThreadBody};

@@ -16,7 +16,6 @@
 //! policy change must suppress.
 
 use crate::paged::{PagedVec, SharedPage};
-use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Episodes per page of the ledger's record stream (192 KiB pages).
@@ -192,17 +191,6 @@ impl DwellLedger {
             .unwrap_or(0)
     }
 
-    /// Per-space dwell-time histograms over assigned episodes.
-    pub fn space_histograms(&self) -> Vec<Histogram> {
-        let mut out = vec![Histogram::log_linear(); self.num_spaces()];
-        for ep in &self.episodes {
-            if let Some(sp) = ep.space {
-                out[sp as usize].record(ep.dwell());
-            }
-        }
-        out
-    }
-
     /// Per-space count of *flaps*: assigned episodes shorter than
     /// `threshold` — processors yanked back before the space could use
     /// them.
@@ -307,10 +295,6 @@ mod tests {
         d.assign(0, 1, t(3), 3);
         d.release(0, t(53), 4); // 50us dwell
         d.seal(t(60));
-        let h = d.space_histograms();
-        assert_eq!(h.len(), 2);
-        assert_eq!(h[0].count(), 1);
-        assert_eq!(h[1].count(), 1);
         assert_eq!(
             d.flap_counts(SimDuration::from_micros(10)),
             vec![1, 0],

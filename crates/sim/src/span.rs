@@ -256,22 +256,6 @@ impl SpanBook {
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
-
-    /// Consumes the book, returning the spans (to move out of the
-    /// `Rc<RefCell<..>>` after a run).
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans
-    }
-
-    /// Sum of intrinsic service time per shard (ns), for reconciliation
-    /// against the ledger's per-space `running_user` time.
-    pub fn service_ns_by_shard(&self, shards: usize) -> Vec<u64> {
-        let mut out = vec![0u64; shards];
-        for s in &self.spans {
-            out[s.shard as usize] += s.service_ns;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -320,7 +304,6 @@ mod tests {
             let id = book.begin(t(0), shard, service_us * 1_000);
             book.complete(id, t(service_us));
         }
-        assert_eq!(book.service_ns_by_shard(2), vec![15_000, 20_000]);
         assert_eq!(book.completed_count(), 3);
     }
 
@@ -333,6 +316,6 @@ mod tests {
         }
         assert_eq!(book.len(), 4);
         assert_eq!(book.completed_count(), 0);
-        assert_eq!(book.into_spans().len(), 4);
+        assert_eq!(book.spans().len(), 4);
     }
 }

@@ -67,11 +67,6 @@ impl SimTime {
                 .expect("virtual time ran backwards"),
         )
     }
-
-    /// Saturating difference; zero if `earlier` is after `self`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -89,14 +84,6 @@ impl SimDuration {
     /// Creates a span from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
-    }
-
-    /// Creates a span from fractional microseconds (rounded to nanoseconds).
-    ///
-    /// Useful for cost constants quoted with sub-microsecond precision.
-    pub fn from_micros_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        SimDuration((us * 1_000.0).round() as u64)
     }
 
     /// Creates a span from milliseconds.
@@ -249,7 +236,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimTime::from_millis(50).as_micros(), 50_000);
         assert_eq!(SimDuration::from_micros(19).as_micros(), 19);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]
@@ -267,12 +253,6 @@ mod tests {
     #[should_panic(expected = "virtual time ran backwards")]
     fn since_panics_on_backwards_time() {
         let _ = SimTime::from_micros(1).since(SimTime::from_micros(2));
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let d = SimTime::from_micros(1).saturating_since(SimTime::from_micros(2));
-        assert_eq!(d, SimDuration::ZERO);
     }
 
     #[test]

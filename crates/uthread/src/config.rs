@@ -2,7 +2,6 @@
 
 use crate::ready::ReadyPolicyKind;
 use crate::sync::SpinPolicy;
-use sa_sim::SimDuration;
 
 /// Which substrate the thread package runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +43,8 @@ pub struct FtConfig {
     pub critical: CriticalSectionMode,
     /// User-lock contention policy.
     pub lock_policy: SpinPolicy,
-    /// How long an idle processor spins before telling the kernel it is
-    /// available for reallocation (§4.2's hysteresis).
-    pub idle_hysteresis: SimDuration,
     /// Upper bound on processors this application will request.
     pub max_processors: u32,
-    /// Discarded activations are returned to the kernel in batches of this
-    /// size (§4.3's bulk recycling).
-    pub recycle_batch: u32,
     /// Schedule user threads by priority (set by `Op::ForkPrio`): the
     /// dispatcher picks the highest-priority runnable thread, and — on
     /// scheduler activations — readying a thread whose priority exceeds a
@@ -72,9 +65,7 @@ impl FtConfig {
             substrate: Substrate::SchedulerActivations,
             critical: CriticalSectionMode::ZeroOverhead,
             lock_policy: SpinPolicy::default(),
-            idle_hysteresis: SimDuration::from_micros(200),
             max_processors,
-            recycle_batch: 4,
             priority_scheduling: false,
             ready_policy: ReadyPolicyKind::default(),
         }
@@ -86,9 +77,7 @@ impl FtConfig {
             substrate: Substrate::KernelThreads { vps },
             critical: CriticalSectionMode::ZeroOverhead,
             lock_policy: SpinPolicy::default(),
-            idle_hysteresis: SimDuration::from_micros(200),
             max_processors: vps,
-            recycle_batch: 4,
             priority_scheduling: false,
             ready_policy: ReadyPolicyKind::default(),
         }

@@ -48,6 +48,14 @@ use sa_machine::program::{Op, OpResult, StepEnv, ThreadBody};
 use sa_machine::CostModel;
 use sa_sim::{SimDuration, TraceEvent};
 
+/// How long an idle processor spins before telling the kernel it is
+/// available for reallocation (§4.2's hysteresis).
+const IDLE_HYSTERESIS: SimDuration = SimDuration::from_micros(200);
+
+/// Discarded activations are returned to the kernel in batches of this
+/// size (§4.3's bulk recycling).
+const RECYCLE_BATCH: u32 = 4;
+
 /// The user-level thread package.
 pub struct FastThreads {
     cfg: FtConfig,
@@ -1142,7 +1150,7 @@ impl FastThreads {
                     call: Syscall::SetDesiredProcessors { total },
                 });
             }
-            if self.discard_backlog >= self.cfg.recycle_batch {
+            if self.discard_backlog >= RECYCLE_BATCH {
                 self.discard_backlog = 0;
                 self.stats.recycles.inc();
                 return Some(VpAction::Syscall {
@@ -1247,7 +1255,7 @@ impl FastThreads {
                 self.slots[slot].hysteresis_done = true;
                 self.slots[slot].spin = Some(SpinCtx::Idle);
                 let s = seg(
-                    self.cfg.idle_hysteresis,
+                    IDLE_HYSTERESIS,
                     WorkKind::IdleSpin,
                     cookie::Tag::Idle,
                     None,

@@ -16,8 +16,8 @@
 //! - [`openloop`] — the SLO-grade open-loop load generator
 //!   (Poisson/bursty/diurnal arrivals, Pareto service times, per-request
 //!   span tracking across many shards);
-//! - [`synthetic`] — fork-join trees, task queues and lock ladders for
-//!   the ablations and property tests.
+//! - [`synthetic`] — thread churn and lock ladders for the ablations,
+//!   the churn smoke and the property tests.
 
 pub mod bufcache;
 pub mod micro;

@@ -562,25 +562,9 @@ impl NBodyHandle {
         self.shared.borrow().cache.misses()
     }
 
-    /// Buffer-cache hits observed.
-    pub fn cache_hits(&self) -> u64 {
-        self.shared.borrow().cache.hits()
-    }
-
     /// Steps completed.
     pub fn steps_done(&self) -> usize {
         self.shared.borrow().steps_done
-    }
-
-    /// Kinetic energy of the final state (sanity check on the physics).
-    pub fn kinetic_energy(&self) -> f64 {
-        self.shared
-            .borrow()
-            .sim
-            .bodies
-            .iter()
-            .map(|b| 0.5 * b.m * (b.vx * b.vx + b.vy * b.vy))
-            .sum()
     }
 }
 

@@ -101,21 +101,6 @@ impl OpenLoopConfig {
         self.mean_interarrival = SimDuration::from_nanos(scaled.max(1));
         self.shards = spaces;
     }
-
-    /// Expected mean of the truncated Pareto service demand (ns); used
-    /// for load sizing in reports.
-    pub fn mean_service_ns(&self) -> f64 {
-        // Untruncated Pareto mean alpha*min/(alpha-1), slightly reduced
-        // by the cap; good enough for utilization estimates.
-        let a = self.service_alpha;
-        let m = self.service_min.as_nanos() as f64;
-        let c = self.service_cap.as_nanos() as f64;
-        if a <= 1.0 {
-            return c;
-        }
-        let mean = a * m / (a - 1.0);
-        mean.min(c)
-    }
 }
 
 /// Derived RNG stream for one shard (split-mix style spread so shard

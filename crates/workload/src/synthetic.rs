@@ -1,31 +1,8 @@
 //! Synthetic workload generators for tests and the ablations.
 
 use sa_machine::ids::{LockId, ThreadRef};
-use sa_machine::program::{ComputeBody, FnBody, Op, OpResult, ThreadBody};
+use sa_machine::program::{FnBody, Op, OpResult, ThreadBody};
 use sa_sim::SimDuration;
-
-/// A body that forks `n` children each computing `work`, then joins them
-/// all — the canonical coarse-grained parallel program.
-pub fn fork_join(n: usize, work: SimDuration) -> Box<dyn ThreadBody> {
-    let mut children: Vec<ThreadRef> = Vec::new();
-    let mut forked = 0usize;
-    let mut joined = 0usize;
-    Box::new(FnBody::new("fork-join", move |env| {
-        if let OpResult::Forked(c) = env.last {
-            children.push(c);
-        }
-        if forked < n {
-            forked += 1;
-            return Op::Fork(Box::new(ComputeBody::new(work)));
-        }
-        if joined < n {
-            let c = children[joined];
-            joined += 1;
-            return Op::Join(c);
-        }
-        Op::Exit
-    }))
-}
 
 /// A root body that churns through `total` short-lived children while
 /// never holding more than `window` alive at once: fork until the window
@@ -118,25 +95,6 @@ pub fn contended_ladder(
     }))
 }
 
-/// A body alternating compute bursts with blocking I/O, for integration
-/// experiments (`bursts` iterations of `work` + `io`).
-pub fn compute_io_mix(bursts: usize, work: SimDuration, io: SimDuration) -> Box<dyn ThreadBody> {
-    let mut step = 0usize;
-    Box::new(FnBody::new("compute-io", move |_| {
-        let round = step / 2;
-        if round >= bursts {
-            return Op::Exit;
-        }
-        let op = if step.is_multiple_of(2) {
-            Op::Compute(work)
-        } else {
-            Op::Io(io)
-        };
-        step += 1;
-        op
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,25 +107,6 @@ mod tests {
             self_ref: ThreadRef(0),
             last,
         }
-    }
-
-    #[test]
-    fn fork_join_op_sequence() {
-        let mut b = fork_join(2, SimDuration::from_micros(1));
-        assert!(matches!(b.step(&env(OpResult::Start)), Op::Fork(_)));
-        assert!(matches!(
-            b.step(&env(OpResult::Forked(ThreadRef(1)))),
-            Op::Fork(_)
-        ));
-        assert!(matches!(
-            b.step(&env(OpResult::Forked(ThreadRef(2)))),
-            Op::Join(ThreadRef(1))
-        ));
-        assert!(matches!(
-            b.step(&env(OpResult::Done)),
-            Op::Join(ThreadRef(2))
-        ));
-        assert!(matches!(b.step(&env(OpResult::Done)), Op::Exit));
     }
 
     #[test]
@@ -214,14 +153,6 @@ mod tests {
         assert!(matches!(b.step(&env(OpResult::Done)), Op::Compute(_)));
         assert!(matches!(b.step(&env(OpResult::Done)), Op::Release(_)));
         assert!(matches!(b.step(&env(OpResult::Done)), Op::Compute(_)));
-        assert!(matches!(b.step(&env(OpResult::Done)), Op::Exit));
-    }
-
-    #[test]
-    fn compute_io_alternates() {
-        let mut b = compute_io_mix(1, SimDuration::from_micros(5), SimDuration::from_millis(1));
-        assert!(matches!(b.step(&env(OpResult::Start)), Op::Compute(_)));
-        assert!(matches!(b.step(&env(OpResult::Done)), Op::Io(_)));
         assert!(matches!(b.step(&env(OpResult::Done)), Op::Exit));
     }
 }

@@ -8,20 +8,22 @@
 //! cargo run --release --example multiprogramming
 //! ```
 
-use scheduler_activations::experiments::{nbody_run, nbody_sequential_time};
-use scheduler_activations::machine::CostModel;
-use scheduler_activations::scenario::systems;
-use scheduler_activations::workload::nbody::NBodyConfig;
+use sa_harness::host_jobs;
+use scheduler_activations::experiments::run_cells;
+use scheduler_activations::scenario::{systems, table5_cells};
+use scheduler_activations::PolicyConfig;
 
 fn main() {
-    let cfg = NBodyConfig::default();
-    let cost = CostModel::firefly_prototype();
-    let seq = nbody_sequential_time(cfg.clone(), cost.clone(), 1);
-    println!("two N-body copies at once on 6 CPUs (sequential baseline {seq})");
+    let runs = run_cells(&table5_cells(6, PolicyConfig::default()), host_jobs())
+        .expect("every cell finishes");
+    let (seq, row) = runs.split_first().expect("the baseline comes first");
+    println!(
+        "two N-body copies at once on 6 CPUs (sequential baseline {})",
+        seq.elapsed
+    );
     println!("a speedup of 3.0 is the best either copy could possibly get\n");
-    for (name, api) in systems(6) {
-        let r = nbody_run(api, 6, cfg.clone(), cost.clone(), 2, 1);
-        let speedup = seq.as_nanos() as f64 / r.elapsed.as_nanos() as f64;
+    for ((name, _), r) in systems(6).into_iter().zip(row) {
+        let speedup = r.speedup_over(seq);
         println!("{name:<20} mean speedup {speedup:.2}");
     }
     println!(

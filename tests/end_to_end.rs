@@ -2,15 +2,21 @@
 //! assertions, run through the top-level crate's public API.
 
 use scheduler_activations::experiments::{
-    nbody_run, nbody_sequential_time, thread_op_latencies, topaz_signal_wait, upcall_signal_wait,
+    run_cells, thread_op_latencies, topaz_signal_wait, upcall_signal_wait, NBodyCell, NBodyRun,
 };
 use scheduler_activations::machine::CostModel;
+use scheduler_activations::scenario::{fig1_cells, fig2_cells, table5_cells};
 use scheduler_activations::uthread::CriticalSectionMode;
-use scheduler_activations::workload::nbody::NBodyConfig;
-use scheduler_activations::ThreadApi;
+use scheduler_activations::{PolicyConfig, ThreadApi};
+use std::num::NonZeroUsize;
 
 fn pct_of(measured: f64, paper: f64) -> f64 {
     (measured - paper).abs() / paper * 100.0
+}
+
+/// Runs `cells` serially.
+fn run(cells: &[NBodyCell]) -> Vec<NBodyRun> {
+    run_cells(cells, NonZeroUsize::MIN).expect("every cell finishes")
 }
 
 #[test]
@@ -89,24 +95,19 @@ fn upcall_performance_matches_section_5_2() {
 
 #[test]
 fn figure1_shape_holds_at_six_processors() {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    let seq = nbody_sequential_time(cfg.clone(), cost.clone(), 1);
-    let speedup = |api: ThreadApi, machine: u16| {
-        let r = nbody_run(api, machine, cfg.clone(), cost.clone(), 1, 1);
-        seq.as_nanos() as f64 / r.elapsed.as_nanos() as f64
+    // The baseline, then the one- and six-processor rows.
+    let mut cells = fig1_cells(6, PolicyConfig::default());
+    cells.drain(4..16);
+    let runs = run(&cells);
+    let s: Vec<f64> = runs[1..].iter().map(|r| r.speedup_over(&runs[0])).collect();
+    let [topaz1, ft1, sa1, topaz6, ft6, sa6] = s[..] else {
+        unreachable!("two rows of three systems");
     };
     // One processor: everything below the sequential baseline.
-    let topaz1 = speedup(ThreadApi::TopazThreads, 1);
-    let ft1 = speedup(ThreadApi::OrigFastThreads { vps: 1 }, 6);
-    let sa1 = speedup(ThreadApi::SchedulerActivations { max_processors: 1 }, 6);
     assert!(topaz1 < 1.0 && ft1 < 1.0 && sa1 < 1.0);
     assert!(topaz1 < ft1, "Topaz overhead not visible at 1 cpu");
     // Six processors: the user-level systems sit far above Topaz, which
     // flattens out (paper: ~2-2.5 vs near-linear).
-    let topaz6 = speedup(ThreadApi::TopazThreads, 6);
-    let ft6 = speedup(ThreadApi::OrigFastThreads { vps: 6 }, 6);
-    let sa6 = speedup(ThreadApi::SchedulerActivations { max_processors: 6 }, 6);
     assert!(topaz6 < 3.3, "Topaz did not flatten: {topaz6:.2}");
     assert!(ft6 > 3.7, "orig FastThreads too slow: {ft6:.2}");
     assert!(sa6 > 3.7, "new FastThreads too slow: {sa6:.2}");
@@ -118,19 +119,11 @@ fn figure1_shape_holds_at_six_processors() {
 
 #[test]
 fn figure2_shape_orig_fastthreads_degrades_fastest() {
-    let cost = CostModel::firefly_prototype();
-    let run = |api: ThreadApi, frac: f64| {
-        let cfg = NBodyConfig {
-            memory_fraction: frac,
-            ..NBodyConfig::default()
-        };
-        nbody_run(api, 6, cfg, cost.clone(), 1, 1).elapsed
+    let runs = run(&fig2_cells(6, &[1.0, 0.5], PolicyConfig::default()));
+    let e: Vec<_> = runs.iter().map(|r| r.elapsed).collect();
+    let [_topaz_full, orig_full, sa_full, topaz_low, orig_low, sa_low] = e[..] else {
+        unreachable!("two rows of three systems");
     };
-    let orig_full = run(ThreadApi::OrigFastThreads { vps: 6 }, 1.0);
-    let orig_low = run(ThreadApi::OrigFastThreads { vps: 6 }, 0.5);
-    let sa_full = run(ThreadApi::SchedulerActivations { max_processors: 6 }, 1.0);
-    let sa_low = run(ThreadApi::SchedulerActivations { max_processors: 6 }, 0.5);
-    let topaz_low = run(ThreadApi::TopazThreads, 0.5);
     // Original FastThreads loses a physical processor for every blocked
     // thread; its degradation dwarfs the others'.
     let orig_slowdown = orig_low.as_nanos() as f64 / orig_full.as_nanos() as f64;
@@ -149,16 +142,11 @@ fn figure2_shape_orig_fastthreads_degrades_fastest() {
 
 #[test]
 fn table5_multiprogramming_shape() {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    let seq = nbody_sequential_time(cfg.clone(), cost.clone(), 1);
-    let speedup = |api: ThreadApi| {
-        let r = nbody_run(api, 6, cfg.clone(), cost.clone(), 2, 1);
-        seq.as_nanos() as f64 / r.elapsed.as_nanos() as f64
+    let runs = run(&table5_cells(6, PolicyConfig::default()));
+    let s: Vec<f64> = runs[1..].iter().map(|r| r.speedup_over(&runs[0])).collect();
+    let [topaz, orig, sa] = s[..] else {
+        unreachable!("three systems");
     };
-    let topaz = speedup(ThreadApi::TopazThreads);
-    let orig = speedup(ThreadApi::OrigFastThreads { vps: 6 });
-    let sa = speedup(ThreadApi::SchedulerActivations { max_processors: 6 });
     // Paper: 1.29 / 1.26 / 2.45 of a maximum 3. The ordering and the
     // big SA gap are the result; exact values are calibration.
     assert!(sa > 2.2, "new FastThreads multiprogrammed speedup {sa:.2}");
