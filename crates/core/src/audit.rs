@@ -26,7 +26,7 @@
 //! across runs and `--jobs` counts.
 
 use crate::scenario::PolicyConfig;
-use crate::slo::SloProfile;
+use crate::slo::{slowest_tail, SloProfile};
 use crate::trace_export::CounterSeries;
 use crate::{AppSpec, SystemBuilder, ThreadApi};
 use sa_kernel::{AllocDecisionKind, DaemonSpec, GrantChain};
@@ -215,7 +215,7 @@ pub fn run_audit(
     let mut victims_by_space: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); n_spaces];
     for d in &log.decisions {
         match &d.kind {
-            AllocDecisionKind::Targets { .. } => decisions.targets += 1,
+            AllocDecisionKind::Targets => decisions.targets += 1,
             AllocDecisionKind::Grant { space, .. } => {
                 decisions.grants += 1;
                 if let Some(v) = grants_by_space.get_mut(*space as usize) {
@@ -254,25 +254,18 @@ pub fn run_audit(
 
     let churn = churn_stats(&dwell, profile.window);
 
-    // The tail join: slowest 0.1% by (response, id) — the same
-    // deterministic cut as the SLO report's tail attribution.
+    // The tail join, over the SLO report's tail cut.
     let space_idx: Vec<usize> = sys.apps().iter().map(|a| a.0.index()).collect();
     let book = book.borrow();
     let spans = book.spans();
     assert_eq!(spans.len(), cfg.requests, "audit: request count");
-    let mut by_response: Vec<(u64, usize)> = spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.response().as_nanos(), i))
-        .collect();
-    by_response.sort_unstable();
-    let count = (spans.len() / 1000).max(1).min(spans.len());
-    let mut tail = Vec::with_capacity(count);
+    let slowest = slowest_tail(spans);
+    let mut tail = Vec::with_capacity(slowest.len());
     let mut attribution = Attribution {
-        tail_count: count as u64,
+        tail_count: slowest.len() as u64,
         ..Attribution::default()
     };
-    for &(_, i) in &by_response[by_response.len() - count..] {
+    for &(_, i) in &slowest {
         let s = &spans[i];
         let space = space_idx[s.shard as usize];
         let grants = &grants_by_space[space];

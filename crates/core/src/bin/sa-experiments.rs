@@ -321,7 +321,8 @@ const FLAGS: &[(&str, &str)] = &[
     ("--requests", "a count (e.g. --requests 20000)"),
     ("--spaces", "a count (e.g. --spaces 200)"),
     ("--out", "a path (e.g. --out trace.json)"),
-    ("--format", "a value (perfetto|log|histograms)"),
+    // Followed by the subcommand's own formats.
+    ("--format", "a value"),
 ];
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> {
@@ -329,6 +330,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> 
     let mut arg: Option<String> = None;
     let mut given: Vec<&'static str> = Vec::new();
     let (mut jobs, mut out, mut format, mut requests, mut spaces) = (None, None, None, None, None);
+    // A flag the arguments ended on, and what its value should have been.
+    let mut missing: Option<(&str, &str)> = None;
     let mut policies = PolicyConfig::default();
     while let Some(a) = args.next() {
         let row = cmd.as_deref().and_then(find);
@@ -352,14 +355,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> 
         let Some(&(flag, wants)) = FLAGS.iter().find(|(f, _)| *f == name) else {
             return Err(format!("unknown flag '{a}'"));
         };
-        let value = match inline {
-            Some(v) => v,
-            None => args.next().ok_or_else(|| match row {
-                Some(c) if flag == "--format" && !c.formats.is_empty() => {
-                    format!("--format requires a value ({})", c.formats.join("|"))
-                }
-                _ => format!("{flag} requires {wants}"),
-            })?,
+        given.push(flag);
+        let Some(value) = inline.or_else(|| args.next()) else {
+            // The arguments end here, so the subcommand is final: it is
+            // checked first, then the missing value.
+            missing = Some((flag, wants));
+            break;
         };
         match flag {
             "--jobs" => jobs = Some(parse_jobs(&value).map_err(|e| format!("--jobs: {e}"))?),
@@ -370,7 +371,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> 
             "--out" => out = Some(value),
             _ => format = Some(value),
         }
-        given.push(flag);
     }
     let name = cmd.unwrap_or_else(|| "all".to_string());
     let cmd = find(&name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
@@ -384,6 +384,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Parsed, String> 
             "{flag} only applies to the {} subcommands",
             join_and(&takers)
         ));
+    }
+    if let Some((flag, wants)) = missing {
+        let formats = match flag {
+            "--format" => format!(" ({})", cmd.formats.join("|")),
+            _ => String::new(),
+        };
+        return Err(format!("{flag} requires {wants}{formats}"));
     }
     let arg = match (arg.as_deref().or(cmd.default), cmd.arg) {
         (_, Arg::None) => "",
@@ -1466,8 +1473,10 @@ mod tests {
                 &["fig2", "--out=x"],
                 "'trace', 'profile', 'slo', and 'audit' subcommands",
             ),
-            // A missing `--format` value names the preceding subcommand's
-            // formats, or the generic hint when there is none.
+            // A missing value ends the arguments, so the subcommand is
+            // final (`all` when none is named): a flag it does not take
+            // is refused as such, and a missing `--format` value names
+            // the subcommand's own formats.
             (
                 &["slo", "--format"],
                 "--format requires a value (table|csv|perfetto)",
@@ -1477,9 +1486,28 @@ mod tests {
                 "--format requires a value (table|folded|json)",
             ),
             (
-                &["--format"],
+                &["trace", "--format"],
                 "--format requires a value (perfetto|log|histograms)",
             ),
+            (
+                &["--format"],
+                "--format only applies to the 'trace', 'profile'",
+            ),
+            (
+                &["fig1", "--format"],
+                "--format only applies to the 'trace', 'profile'",
+            ),
+            (
+                &["fig1", "--out"],
+                "--out only applies to the 'trace', 'profile'",
+            ),
+            (
+                &["fig1", "--alloc"],
+                "--alloc only applies to the 'run', 'trace'",
+            ),
+            (&["run", "--alloc"], "--alloc requires a value (e.g."),
+            (&["table1", "--jobs"], "--jobs requires a value (e.g."),
+            (&["nope", "--out"], "unknown experiment 'nope'"),
         ] {
             let err = parse(args)
                 .err()

@@ -369,9 +369,10 @@ fn window_rows(spans: &[Span], windowed: &WindowedLedger, makespan: SimTime) -> 
         .collect()
 }
 
-/// Selects the slowest 0.1% of spans (ties broken by id, so the set is
-/// deterministic) and attributes their time.
-fn tail_attribution(spans: &[Span], windowed: &WindowedLedger) -> TailReport {
+/// The slowest 0.1% of `spans` (at least one, if there are any) as
+/// `(response ns, index)`, fastest first. Ties break by index, so the
+/// cut is deterministic; the SLO report and the decision audit share it.
+pub(crate) fn slowest_tail(spans: &[Span]) -> Vec<(u64, usize)> {
     let mut by_response: Vec<(u64, usize)> = spans
         .iter()
         .enumerate()
@@ -379,7 +380,14 @@ fn tail_attribution(spans: &[Span], windowed: &WindowedLedger) -> TailReport {
         .collect();
     by_response.sort_unstable();
     let count = (spans.len() / 1000).max(1).min(spans.len());
-    let tail = &by_response[by_response.len() - count..];
+    by_response.drain(..spans.len() - count);
+    by_response
+}
+
+/// Attributes the time of the [`slowest_tail`] spans.
+fn tail_attribution(spans: &[Span], windowed: &WindowedLedger) -> TailReport {
+    let tail = slowest_tail(spans);
+    let count = tail.len();
 
     let mut phase_ns = [0u64; SpanPhase::COUNT];
     let mut dominant_counts = [0u64; SpanPhase::COUNT];
@@ -388,7 +396,7 @@ fn tail_attribution(spans: &[Span], windowed: &WindowedLedger) -> TailReport {
     let width_ns = windowed.width().as_nanos();
     let wcount = windowed.window_count();
     let mut seen_windows = vec![false; wcount.max(1)];
-    for &(_, i) in tail {
+    for &(_, i) in &tail {
         let s = &spans[i];
         let phases = s.phase_ns();
         let mut arg = 0;

@@ -18,10 +18,9 @@
 //!   the clock is, so the log keeps no delivery stream to re-check.
 //! - **Chain telescoping**: every completed grant chain's legs sum to
 //!   its startup wait exactly.
-//! - **Targets records resolve**: every `Targets` decision's interned
-//!   counts are a demand and a target vector over the kernel's spaces,
-//!   and the targets never hand out more processors than the machine
-//!   has.
+//! - **Targets recorded**: at least one `Targets` decision is in the log.
+//!   (What a `targets()` recomputation may choose is checked per policy
+//!   by `sa-kernel`'s `policy_invariants.rs`.)
 //!
 //! A proptest then varies the request count on the default pair: the
 //! invariants are properties of the accounting discipline, not of any
@@ -129,30 +128,12 @@ fn check_invariants(sys: &System, makespan: SimTime, ctx: &str) {
         prev_at = d.at;
     }
 
-    // Every Targets record resolves to one entry per kernel space: the
-    // applications plus the daemon space (AsId 0).
-    let kernel_spaces = sys.apps().len() + 1;
-    let mut targets_records = 0usize;
-    for d in &log.decisions {
-        if let AllocDecisionKind::Targets { counts } = d.kind {
-            targets_records += 1;
-            let (demand, targets) = log.targets_counts(counts);
-            assert_eq!(
-                (demand.len(), targets.len()),
-                (kernel_spaces, kernel_spaces),
-                "{ctx}: decision {} does not cover every space",
-                d.id
-            );
-            let granted: u32 = targets.iter().sum();
-            assert!(
-                granted as usize <= dwell.num_cpus(),
-                "{ctx}: decision {} targets {granted} processors on {} CPUs",
-                d.id,
-                dwell.num_cpus()
-            );
-        }
-    }
-    assert!(targets_records > 0, "{ctx}: no Targets decision recorded");
+    assert!(
+        log.decisions
+            .iter()
+            .any(|d| d.kind == AllocDecisionKind::Targets),
+        "{ctx}: no Targets decision recorded"
+    );
 
     // Every grant chain that completed must telescope exactly.
     assert!(

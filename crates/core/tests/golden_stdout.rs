@@ -6,7 +6,8 @@
 //!    committed `tests/golden/*.stdout` files byte for byte (the same
 //!    diff CI performs in release mode), and so do the paper tables
 //!    without a scenario (`table1`, `table4`, `upcall`), the `table5`
-//!    profile and the `table5` trace histograms.
+//!    profile, the `table5` trace histograms, and short `slo_bursty`
+//!    runs of the `slo` report and the decision `audit` (table and CSV).
 //! 2. Passing the default pair *explicitly* (`--alloc=even
 //!    --ready=local`) is byte-identical to passing nothing at all, for
 //!    `run`, `trace`, and `profile` alike — the flags select policies,
@@ -61,6 +62,25 @@ fn run_defaults_reproduce_committed_goldens() {
         (
             &["trace", "table5", "--format", "histograms"],
             "trace-table5-histograms.stdout",
+        ),
+        (
+            &["audit", "slo_bursty", "--requests", "10000"],
+            "audit-slo_bursty.stdout",
+        ),
+        (
+            &[
+                "audit",
+                "slo_bursty",
+                "--requests",
+                "10000",
+                "--format",
+                "csv",
+            ],
+            "audit-slo_bursty.csv",
+        ),
+        (
+            &["slo", "slo_bursty", "--requests", "3000"],
+            "slo-slo_bursty.stdout",
         ),
         (&["table1"], "table1.stdout"),
         (&["table4"], "table4.stdout"),

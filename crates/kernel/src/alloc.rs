@@ -16,7 +16,7 @@ use crate::exec::Running;
 use crate::ids::AsId;
 use crate::kernel::{Event, Kernel};
 use crate::policy::{AllocView, SpaceDemand, TargetsMemo};
-use crate::provenance::{AllocDecisionKind, VictimReason};
+use crate::provenance::AllocDecisionKind;
 use crate::space::SpaceKind;
 use crate::upcall::UpcallEvent;
 use sa_sim::TraceEvent;
@@ -160,8 +160,7 @@ impl Kernel {
         targets.clear();
         targets.extend_from_slice(memo);
         // Choke point 1: the targets() recomputation is a decision.
-        self.obs
-            .decide_targets(self.q.now(), &self.alloc.spaces, &targets);
+        self.obs.decide(self.q.now(), AllocDecisionKind::Targets);
         if has_remainder && !self.rotation_armed {
             // Time-slice the remainder: rotate which spaces hold the extra
             // processors once per quantum.
@@ -289,7 +288,7 @@ impl Kernel {
                     self.cpus[cpu].realloc_pending = true;
                     return false;
                 }
-                let d = self.note_victim_decision(cpu, owner, VictimReason::Realloc);
+                let d = self.note_victim_decision(cpu, owner);
                 self.release_cpu_by(cpu, d);
                 true
             }
@@ -303,7 +302,7 @@ impl Kernel {
                     return false;
                 }
                 self.preempt_kt_to_queue(cpu, kt);
-                let d = self.note_victim_decision(cpu, owner, VictimReason::Realloc);
+                let d = self.note_victim_decision(cpu, owner);
                 self.release_cpu_by(cpu, d);
                 true
             }
@@ -312,7 +311,7 @@ impl Kernel {
                     self.cpus[cpu].realloc_pending = true;
                     return false;
                 }
-                let ev = self.stop_activation_on(cpu, VictimReason::Realloc);
+                let ev = self.stop_activation_on(cpu);
                 self.release_cpu_by(cpu, ev.decision().unwrap_or(0));
                 // §3.1: the old address space must still be notified — on
                 // another of its processors, or pended if it has none.
@@ -342,16 +341,10 @@ impl Kernel {
     /// behind taking `cpu` from `owner` (activation victims get theirs
     /// in [`Kernel::stop_activation_on`], where the `Preempted` upcall
     /// is stamped). Returns the decision id.
-    pub(crate) fn note_victim_decision(
-        &mut self,
-        cpu: usize,
-        owner: AsId,
-        reason: VictimReason,
-    ) -> u64 {
+    pub(crate) fn note_victim_decision(&mut self, cpu: usize, owner: AsId) -> u64 {
         let kind = AllocDecisionKind::Victim {
             cpu: cpu as u32,
             space: owner.0,
-            reason,
         };
         self.obs.decide(self.q.now(), kind)
     }

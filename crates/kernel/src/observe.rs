@@ -4,10 +4,10 @@
 //! The kernel reports to one [`Observer`] at its choke points, one call
 //! each: a closed interval of CPU time (`charge`), a wait-gauge change
 //! (`wait`), a finished space (`space_done`), an allocator decision
-//! (`decide`, `decide_targets`), a processor changing hands (`assign`,
-//! `release`), an upcall batch reaching its runtime (`delivered`), and
-//! user work starting on a processor (`user_dispatch`). The observer
-//! feeds its sinks from those calls:
+//! (`decide`, for all three kinds), a processor changing hands
+//! (`assign`, `release`), an upcall batch reaching its runtime
+//! (`delivered`), and user work starting on a processor
+//! (`user_dispatch`). The observer feeds its sinks from those calls:
 //!
 //! - the flat [`TimeLedger`], always, behind per-CPU [`ChargeAcc`]s;
 //! - the [`WindowedLedger`], the [`ProvenanceLog`] with its grant chains,
@@ -21,7 +21,6 @@
 
 use crate::ids::AsId;
 use crate::kernel::Kernel;
-use crate::policy::SpaceDemand;
 use crate::provenance::{AllocDecision, AllocDecisionKind, GrantChain, ProvenanceLog};
 use crate::upcall::UpcallEvent;
 use sa_sim::{
@@ -143,22 +142,6 @@ impl Observer {
         id
     }
 
-    /// Takes a `targets()` decision at `now`: the demand column of the
-    /// allocator's `view` and the `targets` chosen from it.
-    pub(crate) fn decide_targets(
-        &mut self,
-        now: SimTime,
-        view: &[SpaceDemand],
-        targets: &[u32],
-    ) -> u64 {
-        let Some(log) = &mut self.log else {
-            self.decisions += 1;
-            return self.decisions;
-        };
-        let counts = log.intern_counts(view, targets);
-        self.decide(now, AllocDecisionKind::Targets { counts })
-    }
-
     /// `cpu` passes to `space` at `now` by `decision` (0 = none). A
     /// grant to a scheduler-activation space (`chain`) opens the grant
     /// chain that its first user dispatch closes.
@@ -176,10 +159,7 @@ impl Observer {
         if let (true, Some(log)) = (chain, &mut self.log) {
             self.open_grant[cpu] = Some(log.grants.push(GrantChain {
                 decision,
-                cpu: cpu as u32,
-                space: space.0,
                 decided_at: now,
-                preempt_done_at: now,
                 upcall_at: None,
                 first_dispatch_at: None,
             }));

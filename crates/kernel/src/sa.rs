@@ -6,7 +6,6 @@ use crate::exec::{Effect, Micro, ResumeWith, Running, Seg, UnitRef};
 use crate::ids::{ActId, AsId, VpId};
 use crate::io::PAGE_READ;
 use crate::kernel::{Event, Kernel};
-use crate::provenance::VictimReason;
 use crate::upcall::{RtEnv, SavedContext, Syscall, SyscallOutcome, UpcallEvent, WorkKind};
 use sa_machine::ids::PageId;
 use sa_sim::{SimDuration, TraceEvent, WaitKind};
@@ -245,7 +244,7 @@ impl Kernel {
                 if let ActState::Running(tcpu) = self.acts[target.index()].state {
                     let tcpu = tcpu as usize;
                     if self.act_victim_eligible(tcpu) {
-                        let ev = self.stop_activation_on(tcpu, VictimReason::PreemptVp);
+                        let ev = self.stop_activation_on(tcpu);
                         self.deliver_upcall_on_cpu(tcpu, space, ev);
                     }
                 }
@@ -377,7 +376,7 @@ impl Kernel {
         //    the pending events plus the victim's preemption (§3.1 —
         //    `deliver_upcall_on_cpu` prepends the pending batch itself).
         if let Some(victim_cpu) = self.pick_own_victim(space) {
-            let ev = self.stop_activation_on(victim_cpu, VictimReason::Notify);
+            let ev = self.stop_activation_on(victim_cpu);
             self.deliver_upcall_on_cpu(victim_cpu, space, ev);
             return;
         }
@@ -464,7 +463,7 @@ impl Kernel {
                 if self.cpus[cpu].inflight.is_some() {
                     return false;
                 }
-                let d = self.note_victim_decision(cpu, owner, VictimReason::Steal);
+                let d = self.note_victim_decision(cpu, owner);
                 self.release_cpu_by(cpu, d);
                 self.grant_cpu_to(cpu, space);
             }
@@ -477,7 +476,7 @@ impl Kernel {
                     return false;
                 }
                 self.preempt_kt_to_queue(cpu, kt);
-                let d = self.note_victim_decision(cpu, owner, VictimReason::Steal);
+                let d = self.note_victim_decision(cpu, owner);
                 self.release_cpu_by(cpu, d);
                 self.grant_cpu_to(cpu, space);
             }
@@ -485,7 +484,7 @@ impl Kernel {
                 if !self.act_victim_eligible(cpu) {
                     return false;
                 }
-                let ev = self.stop_activation_on(cpu, VictimReason::Steal);
+                let ev = self.stop_activation_on(cpu);
                 self.release_cpu_by(cpu, ev.decision().unwrap_or(0));
                 self.grant_cpu_to(cpu, space);
                 self.notify_preemption(owner, ev);
@@ -510,14 +509,14 @@ impl Kernel {
     /// machine state for the notification. The CPU is left idle.
     ///
     /// Choke point 3: choosing this activation as the preemption victim
-    /// is an allocator decision; `reason` says which path needed it, and
-    /// the decision id is stamped onto the `Preempted` event.
-    pub(crate) fn stop_activation_on(&mut self, cpu: usize, reason: VictimReason) -> UpcallEvent {
+    /// is an allocator decision, and its id is stamped onto the
+    /// `Preempted` event.
+    pub(crate) fn stop_activation_on(&mut self, cpu: usize) -> UpcallEvent {
         let Running::Act(a) = self.cpus[cpu].running else {
             unreachable!("stop_activation_on a CPU not running an activation");
         };
         let space = self.acts[a.index()].space;
-        let decision = self.note_victim_decision(cpu, space, reason);
+        let decision = self.note_victim_decision(cpu, space);
         self.spaces[space.index()].metrics.preemptions.inc();
         let saved = self.saved_context_from_inflight(cpu);
         self.bump_gen(cpu);
