@@ -111,7 +111,8 @@ fn check_invariants(sys: &System, makespan: SimTime, ctx: &str) {
 
     let log = sys.decision_log().expect("decision audit was enabled");
 
-    // Decision ids dense from 1, times monotone.
+    // Decision ids dense from 1, each found again by its id, times
+    // monotone.
     let mut prev_at = SimTime::ZERO;
     for (i, d) in log.decisions.iter().enumerate() {
         assert_eq!(
@@ -119,6 +120,7 @@ fn check_invariants(sys: &System, makespan: SimTime, ctx: &str) {
             i as u64 + 1,
             "{ctx}: decision ids must be dense from 1"
         );
+        assert_eq!(log.decisions.get(d.id), Some(d), "{ctx}: lookup by id");
         assert!(
             d.at >= prev_at,
             "{ctx}: decision {} decided at {:?}, before predecessor at {prev_at:?}",
@@ -257,8 +259,9 @@ fn dwell_snapshots_stay_isolated_from_the_running_ledger() {
         if let Some((_, _, prev)) = snaps.last() {
             let full = prev.episodes().len() / 4096 * 4096;
             for r in (0..full).step_by(512) {
-                assert!(
-                    std::ptr::eq(&prev.episodes()[r], &snap.episodes()[r]),
+                assert_eq!(
+                    prev.episodes().row_address(r),
+                    snap.episodes().row_address(r),
                     "episode {r} copied, not shared"
                 );
             }

@@ -8,7 +8,7 @@
 //! the kernel implements thread management.
 
 use crate::config::KernelFlavor;
-use crate::exec::{Effect, KtFlavor, Micro, ResumeWith, Running, Seg, UnitRef};
+use crate::exec::{Effect, KtFlavor, Micro, Pipeline, ResumeWith, Running, Seg, UnitRef};
 use crate::ids::KtId;
 use crate::io::PAGE_READ;
 use crate::kernel::Kernel;
@@ -314,10 +314,18 @@ impl Kernel {
 
     fn eff_exit_final(&mut self, cpu: usize, kt: KtId) {
         let space = self.kts.hot[kt.index()].space;
-        self.kts.cold[kt.index()].exited = true;
         self.kts.hot[kt.index()].state = KtState::Dead;
-        self.kts.cold[kt.index()].body = None;
-        let joiners = std::mem::take(&mut self.kts.cold[kt.index()].joiners);
+        let cold = &mut self.kts.cold[kt.index()];
+        cold.exited = true;
+        cold.body = None;
+        // The row outlives the exit, for joiners; its pipeline buffer
+        // need not, and nothing is queued on a dead thread.
+        debug_assert!(
+            cold.pipeline.is_empty(),
+            "kernel thread exits with micro-ops queued"
+        );
+        cold.pipeline = Pipeline::new();
+        let joiners = std::mem::take(&mut cold.joiners);
         self.spaces[space.index()].live_kthreads -= 1;
         self.mark_quiesce(space);
         self.set_idle(cpu);

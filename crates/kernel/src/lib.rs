@@ -51,7 +51,9 @@ pub use policy::{
     Affinity, AllocPolicy, AllocPolicyKind, AllocView, Hysteresis, SpaceDemand, SpaceShareEven,
     StrictPriority, DEFAULT_MIN_DWELL,
 };
-pub use provenance::{AllocDecision, AllocDecisionKind, GrantChain, ProvenanceLog};
+pub use provenance::{
+    AllocDecision, AllocDecisionKind, DecisionIter, DecisionStream, GrantChain, ProvenanceLog,
+};
 pub use sa::RUNTIME_PAGE;
 pub use upcall::{
     PollReason, RtEnv, SavedContext, Syscall, SyscallOutcome, UpcallEvent, UserRuntime, VpAction,

@@ -136,7 +136,6 @@ impl Observer {
         self.decisions += 1;
         let id = self.decisions;
         if let Some(log) = &mut self.log {
-            debug_assert!(log.decisions.iter().next_back().is_none_or(|d| d.id < id));
             log.decisions.push(AllocDecision { id, at: now, kind });
         }
         id
@@ -157,12 +156,7 @@ impl Observer {
             d.assign(cpu, space.0, now, decision);
         }
         if let (true, Some(log)) = (chain, &mut self.log) {
-            self.open_grant[cpu] = Some(log.grants.push(GrantChain {
-                decision,
-                decided_at: now,
-                upcall_at: None,
-                first_dispatch_at: None,
-            }));
+            self.open_grant[cpu] = Some(log.grants.push(GrantChain::new(decision, now)));
         }
     }
 
@@ -189,8 +183,8 @@ impl Observer {
                 log.check_stamp(space.0, d, ev.kind(), now);
             }
             if ev.kind() == UpcallKind::AddProcessor {
-                if let Some(g) = log.grant_mut(d).filter(|g| g.upcall_at.is_none()) {
-                    g.upcall_at = Some(now);
+                if let Some(g) = log.grant_mut(d).filter(|g| g.upcall_at().is_none()) {
+                    g.set_upcall_at(now);
                 }
             }
         }
@@ -200,7 +194,7 @@ impl Observer {
     /// of the grant chain open there, if any.
     pub(crate) fn user_dispatch(&mut self, cpu: usize, now: SimTime) {
         if let (Some(chain), Some(log)) = (self.open_grant[cpu].take(), &mut self.log) {
-            log.grants[chain as usize].first_dispatch_at = Some(now);
+            log.grants[chain as usize].set_first_dispatch_at(now);
         }
     }
 }

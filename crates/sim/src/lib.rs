@@ -22,7 +22,7 @@ pub mod time;
 pub mod trace;
 pub mod window;
 
-pub use dwell::{ChurnWindow, DwellEpisode, DwellLedger};
+pub use dwell::{ChurnWindow, DwellEpisode, DwellLedger, EpisodeIter, Episodes};
 pub use event::{EventQueue, EventToken, PopNext};
 pub use ledger::{CpuState, TimeLedger, WaitKind};
 pub use paged::{PagedVec, SharedPage};
