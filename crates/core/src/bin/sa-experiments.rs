@@ -1009,10 +1009,10 @@ fn ablations(o: &Options) -> CmdResult {
 }
 
 /// Standing far-out timers kept pending through the whole queue mix. The
-/// kernel's queue always carries a backlog of per-CPU quantum timers,
-/// daemon wakeups, and I/O timeouts that rarely fire; the near-term
-/// churn happens on top of it, so a near-empty queue would flatter the
-/// measurement.
+/// kernel's own queue is far smaller: with segment completions kept in
+/// per-CPU timers it peaks at 160 live events (`paper`), 36 (`slo`) and
+/// 2 (`churn`; EXPERIMENTS.md, "Per-CPU segment timers"). This backlog
+/// makes the line a stress test of the queue alone, not a model of a run.
 const QUEUE_MIX_STANDING: u64 = 4096;
 
 /// Push/pop/cancel microloop against the event queue, run over a
@@ -1272,7 +1272,7 @@ fn engine_bench(o: &Options) -> CmdResult {
     const QOPS: u64 = 2_000_000;
     let queue = (0..3).map(|_| queue_microloop(QOPS)).fold(0f64, f64::max);
     lines.push(BenchLine::new(
-        "queue_mix_wheel",
+        "queue_mix",
         queue,
         format!("{QOPS} scheduled"),
     ));

@@ -419,7 +419,7 @@ mod tests {
         // The host object must be invisible to parse_bench_json (older
         // readers and sa-bench-check see only benchmark lines) while
         // still being present in the document.
-        let lines = vec![BenchLine::new("queue_mix_wheel", 42.0, "detail")];
+        let lines = vec![BenchLine::new("queue_mix", 42.0, "detail")];
         let host = HostInfo {
             cores: 3,
             note: "1-core reference \"box\"".into(),
@@ -429,7 +429,7 @@ mod tests {
         assert!(json.contains(r#"reference \"box\""#));
         let parsed = parse_bench_json(&json).unwrap();
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].name, "queue_mix_wheel");
+        assert_eq!(parsed[0].name, "queue_mix");
     }
 
     #[test]
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn host_cores_parse_from_the_host_object() {
-        let lines = vec![BenchLine::new("queue_mix_wheel", 42.0, "d")];
+        let lines = vec![BenchLine::new("queue_mix", 42.0, "d")];
         let host = HostInfo {
             cores: 7,
             note: "box".into(),
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn host_dependent_names_are_the_scaling_lines() {
         assert!(host_dependent("sweep_fig1_grid"));
-        assert!(!host_dependent("queue_mix_wheel"));
+        assert!(!host_dependent("queue_mix"));
         assert!(!host_dependent("system_nbody_fig1_sa"));
     }
 

@@ -82,7 +82,6 @@ pub struct AppId(pub(crate) sa_kernel::AsId);
 pub struct SystemBuilder {
     cpus: u16,
     cost: CostModel,
-    sched: Option<SchedMode>,
     alloc_policy: AllocPolicyKind,
     daemons: Vec<DaemonSpec>,
     seed: u64,
@@ -101,7 +100,6 @@ impl SystemBuilder {
         SystemBuilder {
             cpus,
             cost: CostModel::firefly_prototype(),
-            sched: None,
             alloc_policy: AllocPolicyKind::default(),
             daemons: Vec::new(),
             seed: 0x5eed,
@@ -117,14 +115,6 @@ impl SystemBuilder {
     /// Replaces the cost model.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Forces the scheduling regime. By default it is inferred: any
-    /// scheduler-activation application selects the modified kernel
-    /// ([`SchedMode::SaAllocator`]); otherwise the native kernel.
-    pub fn sched(mut self, sched: SchedMode) -> Self {
-        self.sched = Some(sched);
         self
     }
 
@@ -195,19 +185,19 @@ impl SystemBuilder {
     }
 
     /// Builds the system (the kernel boots; applications start when
-    /// [`System::run`] is called).
+    /// [`System::run`] is called). Any scheduler-activation application
+    /// selects the modified kernel ([`SchedMode::SaAllocator`]); otherwise
+    /// the native kernel runs.
     pub fn build(self) -> System {
-        let sched = self.sched.unwrap_or_else(|| {
-            if self
-                .apps
-                .iter()
-                .any(|a| matches!(a.api, ThreadApi::SchedulerActivations { .. }))
-            {
-                SchedMode::SaAllocator
-            } else {
-                SchedMode::TopazNative
-            }
-        });
+        let sched = if self
+            .apps
+            .iter()
+            .any(|a| matches!(a.api, ThreadApi::SchedulerActivations { .. }))
+        {
+            SchedMode::SaAllocator
+        } else {
+            SchedMode::TopazNative
+        };
         let cfg = KernelConfig {
             cpus: self.cpus,
             sched,

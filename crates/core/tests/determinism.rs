@@ -1,6 +1,6 @@
 //! Whole-system determinism: two runs with the same seed must produce
 //! bit-identical traces and timings. This is the property the engine's
-//! hot-path data structures (timing-wheel event queue, tombstoned ready
+//! hot-path data structures (binary-heap event queue, tombstoned ready
 //! queue) must preserve — every pop is the unique minimum `(time, seq)`,
 //! so no internal reorganisation may change observable order. Observing
 //! a run must not change it either: the optional sinks are pure readers.

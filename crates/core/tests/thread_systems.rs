@@ -533,7 +533,6 @@ fn mixed_mode_sa_and_kernel_thread_spaces_coexist() {
     // of processors." A Topaz app and an SA app share the machine under
     // the processor allocator.
     let mut sys = SystemBuilder::new(4)
-        .sched(sa_kernel::SchedMode::SaAllocator)
         .app(AppSpec::new(
             "legacy-topaz",
             ThreadApi::TopazThreads,
@@ -562,7 +561,6 @@ fn sa_space_beats_kernel_threads_in_mixed_mode() {
     // app's thread operations stay at user level, the Topaz app traps.
     let fine = || fork_join_body(60, us(300));
     let mut sys = SystemBuilder::new(4)
-        .sched(sa_kernel::SchedMode::SaAllocator)
         .app(AppSpec::new("topaz", ThreadApi::TopazThreads, fine()))
         .app(AppSpec::new(
             "sa",

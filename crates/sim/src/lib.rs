@@ -3,7 +3,7 @@
 //!
 //! The foundation of the scheduler-activations reproduction: a virtual
 //! clock ([`SimTime`]/[`SimDuration`]), a totally ordered cancellable
-//! event queue ([`EventQueue`], a hierarchical timing wheel), a seeded
+//! event queue ([`EventQueue`], a binary heap with lazy cancel), a seeded
 //! random source ([`SimRng`]), measurement primitives ([`stats`]), and an
 //! execution trace ([`Trace`]).
 //!

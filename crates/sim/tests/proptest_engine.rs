@@ -7,18 +7,16 @@ use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 
 /// One step of the model-based interleaving test. Near delays are drawn
 /// from a tiny range so same-instant ties (the determinism-critical case)
-/// are common; sub-tick delays land distinct timestamps inside one 512 ns
-/// wheel slot; far delays span the wheel's coarse levels up to past the
-/// ~37-minute L3 horizon (exercising the overflow list and the cascade on
-/// the way back down). `Cancel`/`PopBelow` indices are reduced modulo the
-/// current state at execution time.
+/// are common; nanosecond delays (under 1.5 µs) land distinct timestamps
+/// close together; far delays reach 40 minutes. `Cancel`/`PopBelow`
+/// indices are reduced modulo the current state at execution time.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     /// Schedule at `now + n µs` (ties common).
     Schedule(u64),
-    /// Schedule at `now + n ns` (same-tick, sub-tick ordering).
+    /// Schedule at `now + n ns` (sub-microsecond ordering).
     ScheduleNs(u64),
-    /// Schedule at `now + n ms` (coarse levels and overflow).
+    /// Schedule at `now + n ms` (far-future events).
     ScheduleFar(u64),
     Cancel(usize),
     Pop,
@@ -45,13 +43,12 @@ fn queue_ops() -> impl Strategy<Value = QueueOp> {
         2 => (0usize..64).prop_map(QueueOp::Cancel),
         2 => Just(QueueOp::Pop),
         // Limits from nanoseconds to minutes past the clock, so deferrals
-        // are common, often against a head event the deferred extraction
-        // has cascaded down from a coarse level; the schedules that follow
-        // then land between the clock and that event (the wheel's rewind).
+        // are common, often against a far head event; the schedules that
+        // follow then land between the clock and that event.
         3 => (0u32..4, 0u64..10_000)
             .prop_map(|(level, ns)| QueueOp::PopWithin(ns << (8 * level))),
         2 => (0usize..64).prop_map(QueueOp::PopBelow),
-        // Whole microseconds (ties with `Schedule`) and sub-tick offsets.
+        // Whole microseconds (ties with `Schedule`) and nanosecond offsets.
         2 => prop_oneof![(0u64..8).prop_map(|us| us * 1_000), 0u64..1500]
             .prop_map(QueueOp::Reserve),
         4 => Just(QueueOp::Step),
@@ -111,30 +108,17 @@ impl ModelQueue {
     }
 }
 
-/// The queue under test with the test's view of its wheel cursor: `hi`
-/// is a time whose tick the cursor never exceeds. A delivery at `t`
-/// leaves the cursor at `t`'s tick, a decline moves it at most to its
-/// bound's tick, and a rewind moves it back; so a schedule at or after
-/// `hi` must never rewind.
+/// The queue under test beside its model; `seq` is the next sequence
+/// number the queue hands out.
 struct Harness {
     q: EventQueue<usize>,
     model: ModelQueue,
-    hi: u64,
     seq: u64,
 }
 
 impl Harness {
     fn schedule(&mut self, at: SimTime) -> sa_sim::EventToken {
-        let rewinds = self.q.rewinds();
         let tok = self.q.schedule(at, self.seq as usize);
-        if self.q.rewinds() != rewinds {
-            assert!(
-                at.as_nanos() < self.hi,
-                "rewind at {at} with the cursor by {}",
-                self.hi
-            );
-            self.hi = at.as_nanos();
-        }
         self.model
             .live
             .push((at.as_nanos(), self.seq, self.seq as usize, false));
@@ -152,11 +136,6 @@ impl Harness {
         };
         let got = self.q.pop_within(bound(key));
         prop_assert_eq!(got, self.model.pop_within(key));
-        match got {
-            PopNext::Popped(t, _) => self.hi = t.as_nanos(),
-            PopNext::Deferred(_) => self.hi = self.hi.max(key.0),
-            PopNext::Empty => {}
-        }
         prop_assert_eq!(self.q.now().as_nanos(), self.model.now);
         Ok(got)
     }
@@ -237,8 +216,7 @@ proptest! {
     }
 
     /// Interleaved schedule/pop keeps the clock monotone and never loses
-    /// a live event, including events far enough out to cross every wheel
-    /// level into the overflow list.
+    /// a live event, including events tens of minutes out.
     #[test]
     fn queue_interleaved_clock_monotone(
         ops in prop::collection::vec((0u64..500, 0u8..8), 1..300)
@@ -277,15 +255,13 @@ proptest! {
     }
 
     /// Model-based equivalence: arbitrary schedule/cancel/pop/bounded-pop
-    /// interleavings (with frequent same-instant ties, sub-tick
-    /// collisions, far-future overflow entries, and deferrals followed by
+    /// interleavings (with frequent same-instant ties, sub-microsecond
+    /// collisions, far-future entries, and deferrals followed by
     /// schedules below the deferred event), plus outside events on
     /// reserved sequence numbers delivered in union order, agree step for
     /// step with a naive sorted-vec reference, including the clock. Also
-    /// pins the exact-`len` semantics (after an eager cancel, `len()`
-    /// drops immediately), the refusal of repeated and post-pop cancels,
-    /// and that no schedule at or after a declined bound's time rewinds
-    /// the wheel.
+    /// pins the exact-`len` semantics (after a cancel, `len()` drops
+    /// immediately) and the refusal of repeated and post-pop cancels.
     #[test]
     fn queue_matches_model_under_interleaving(
         ops in prop::collection::vec(queue_ops(), 1..300)
@@ -293,7 +269,6 @@ proptest! {
         let mut h = Harness {
             q: EventQueue::new(),
             model: ModelQueue::default(),
-            hi: 0,
             seq: 0,
         };
         // Live tokens with the value each one schedules.
@@ -324,17 +299,14 @@ proptest! {
                         .position(|&(_, _, v, o)| !o && v == seq)
                         .expect("model out of sync");
                     h.model.live.remove(mi);
-                    // Eager removal: exact len immediately, and a second
-                    // cancel of the same token must refuse.
+                    // Exact len immediately, and a second cancel of the
+                    // same token must refuse.
                     prop_assert!(!h.q.cancel(tok));
                     None
                 }
                 QueueOp::Pop if h.model.min_index(Some(true)).is_none() => {
                     let got = h.q.pop().map(|(t, v)| (t.as_nanos(), v));
                     prop_assert_eq!(got, h.model.pop());
-                    if let Some((t, _)) = got {
-                        h.hi = t;
-                    }
                     got.map(|(_, v)| v)
                 }
                 QueueOp::Pop => match h.pop_within((u64::MAX, u64::MAX))? {
